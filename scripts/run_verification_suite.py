@@ -18,13 +18,12 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="verification-reports", metavar="DIR")
     parser.add_argument("--jobs", type=int, default=None, metavar="N")
-    parser.add_argument("--window-cap", type=int, default=None, metavar="SYMBOLS")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports = run_all(jobs=args.jobs, window_cap=args.window_cap)
+    reports = run_all(jobs=args.jobs)
     for report in reports:
         print(report.summary_line())
         (out_dir / f"{report.check}.json").write_text(report.to_json() + "\n")

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .complexity import FactorScanner, recurrence_safe_window
+from .complexity import FactorScanner
 from .morphisms import preset
 from .reports import VerifyReport, record_failure, timed
 from .witnesses import (
@@ -418,7 +418,7 @@ def shift_scan(u: Word, i: int, stream=None) -> ShiftScan:
     if start >= ceiling:
         raise WordDomainError("digit sum is already maximal; no later window exceeds it")
     j = i + 1
-    chunk = recurrence_safe_window(n)
+    chunk = max(4096, 64 * n)  # batches the scan; the result does not depend on it
     while True:
         sums = window_sums(stream, n, j, j + chunk)
         hits = np.nonzero(sums > start)[0]

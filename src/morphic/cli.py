@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .complexity import DEFAULT_WINDOW_CAP, FactorScanner, build_complexity_table
+from .complexity import FactorScanner, build_complexity_table
 from .ivp import check_ivp
 from .morphisms import (
     DEFAULT_LENGTH_CAP,
@@ -96,9 +96,7 @@ def cmd_generate(args) -> int:
 
 def cmd_complexity(args) -> int:
     stream, coding = resolve_source(args)
-    table = build_complexity_table(
-        stream, args.n_from, args.n_to, coding=coding, window_cap=args.window_cap
-    )
+    table = build_complexity_table(stream, args.n_from, args.n_to, coding=coding)
     _emit(table.to_csv() if args.format == "csv" else table.to_json(), args.out)
     return 0
 
@@ -107,11 +105,9 @@ def cmd_verify(args) -> int:
     if args.check == "all":
         if args.n_max is not None:
             raise WordDomainError("--n-max applies to a single check, not 'all'")
-        reports = run_all(jobs=args.jobs, window_cap=args.window_cap)
+        reports = run_all(jobs=args.jobs)
     else:
-        reports = [
-            run_check(args.check, n_max=args.n_max, jobs=args.jobs, window_cap=args.window_cap)
-        ]
+        reports = [run_check(args.check, n_max=args.n_max, jobs=args.jobs)]
     payload = _reports_json(reports)
     _emit(payload, args.out)
     status = sys.stderr if not args.out else sys.stdout
@@ -124,7 +120,7 @@ def cmd_ivp(args) -> int:
     stream, coding = resolve_source(args)
     if coding is None:
         coding = Coding.identity(stream.alphabet)
-    scanner = FactorScanner(stream, coding, args.window_cap)
+    scanner = FactorScanner(stream, coding)
     rep = check_ivp(scanner, coding, args.n_from, args.n_to)
     _emit(json.dumps(rep.to_dict(), indent=2) + "\n", args.out)
     return 0 if rep.holds else 1
@@ -175,13 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = argparse.ArgumentParser(add_help=False)
     perf.add_argument("--jobs", type=int, metavar="N", help="worker processes where supported")
-    perf.add_argument(
-        "--window-cap",
-        type=int,
-        default=DEFAULT_WINDOW_CAP,
-        metavar="SYMBOLS",
-        help="largest scan window before giving up",
-    )
 
     p = sub.add_parser("generate", parents=[source, output], help="print a prefix of the fixed point")
     p.add_argument("--length", type=int, required=True, metavar="L")

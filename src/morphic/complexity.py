@@ -1,18 +1,25 @@
 """Complexity functions of infinite words: subword, abelian, additive.
 
-Everything here is computed from finite windows of a fixed-point
-stream.  A window is never trusted at face value: each quantity is
-recomputed on a doubled window until it stops changing, so a window
-that is too short to contain every relevant factor cannot produce a
-silently wrong answer.  The starting window of max(4096, 64n) symbols
-is far beyond the measured recurrence scale of the built-in streams;
-the doubling loop is the safety net for arbitrary user morphisms.
+Every per-length quantity comes from one finite window of a
+fixed-point stream, ``FactorScanner.window(n)``, a prefix that contains
+every length-n factor of the infinite word.  For a morphism whose
+letters all grow, the window is certified by the block argument for
+factors of fixed points (Allouche & Shallit, *Automatic Sequences*,
+CUP 2003): with K the least power such that every |sigma^K(x)| >= n - 1,
+each length-n factor lies inside sigma^K(ab) for a length-2 factor ab,
+so sigma^K of the shortest prefix holding every length-2 factor holds
+them all.  A morphism with a bounded letter, whose iterated image
+length stops growing, falls back to doubling the window until its set
+of length-n factors stops growing; ``FactorScanner.certified`` tells
+the two routes apart.  No window may exceed ``WINDOW_CAP`` symbols: a
+larger one raises ResourceLimitError instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +27,9 @@ import numpy as np
 from .morphisms import FixedPointStream
 from .words import Alphabet, Coding, ResourceLimitError, Word, WordDomainError
 
-DEFAULT_WINDOW_CAP = 1 << 26
+WINDOW_CAP = 1 << 26
 
 CSV_COLUMNS = ("n", "rho", "rho_ab", "rho_plus", "ds_min", "ds_max", "evenness")
-
-
-def recurrence_safe_window(n: int) -> int:
-    """Initial window length used when scanning factors of length n."""
-    return max(4096, 64 * n)
 
 
 def distinct_substring_profile(data, n_max: int) -> np.ndarray:
@@ -113,29 +115,35 @@ class FactorIndex:
 
 
 class FactorScanner:
-    """Window-backed computation of complexity data for one stream.
+    """Complexity data of one fixed point, each answer from one window.
 
-    Caches cumulative sums and the distinct-substring profile, so
-    sweeping n over a range touches each window only a handful of
-    times.  ``coding`` changes which integer is summed per letter for
-    the digit-sum quantities; it does not affect subword or abelian
-    counts.  All answers are stabilized by window doubling, bounded by
-    ``window_cap``.
+    ``window(n)`` is a stream prefix that contains every length-n
+    factor; every per-length answer is computed once from it.  When
+    every letter of the fixed point grows under the morphism, the
+    window is certified by the block argument and ``certified`` is
+    True.  A morphism with a bounded letter falls back to doubling the
+    window until its set of length-n factors stops growing, and
+    ``certified`` is False.  ``coding`` changes which integer is summed
+    per letter for the digit-sum quantities; it does not affect subword
+    or abelian counts.
     """
 
-    def __init__(
-        self,
-        stream: FixedPointStream,
-        coding: Coding | None = None,
-        window_cap: int = DEFAULT_WINDOW_CAP,
-    ):
+    def __init__(self, stream: FixedPointStream, coding: Coding | None = None):
         if coding is not None and coding.alphabet != stream.alphabet:
             raise WordDomainError("coding over a different alphabet")
         self.stream = stream
         self.coding = coding
-        self.window_cap = min(window_cap, stream.cap)
         values = coding.values if coding is not None else stream.alphabet.letters
         self._values = np.array(values, dtype=np.int64)
+        self._images = tuple(im.symbols for im in stream.morphism.images)
+        self._pairs = _pair_closure(self._images, stream.seed)
+        self._letters = {s for p in self._pairs for s in p}
+        self._growth = [[1] * len(self._images)]  # _growth[K][x] = |sigma^K(x)|
+        # A bounded letter's image length is constant from step A on, for
+        # A letters; a growing letter's grows within every A steps.
+        a = len(self._images)
+        self.certified = all(self._lengths(a)[x] < self._lengths(2 * a)[x] for x in self._letters)
+        self._window_lengths: dict[int, int] = {}
         self._ds_cumsum: np.ndarray | None = None
         self._letter_cumsums: dict[int, np.ndarray] = {}
         self._profile: np.ndarray | None = None
@@ -145,74 +153,116 @@ class FactorScanner:
     def alphabet(self) -> Alphabet:
         return self.stream.alphabet
 
-    def _window(self, length: int) -> np.ndarray:
-        if length > self.window_cap:
-            raise ResourceLimitError(
-                f"window {length} exceeds cap {self.window_cap}; "
-                "raise window_cap if the stream really needs it"
-            )
+    def _lengths(self, K: int) -> list[int]:
+        """|sigma^K(x)| for every letter x."""
+        growth = self._growth
+        while len(growth) <= K:
+            prev = growth[-1]
+            growth.append([sum(prev[s] for s in im) for im in self._images])
+        return growth[K]
+
+    def _prefix(self, length: int) -> np.ndarray:
+        if length > WINDOW_CAP:
+            raise ResourceLimitError(f"window of {length} symbols exceeds the cap of {WINDOW_CAP}")
         return self.stream.array(length)
 
-    def _stable(self, n: int, fn):
-        """fn over a window of ``length``, doubled until the answer repeats."""
-        length = recurrence_safe_window(n)
-        first = fn(self._window(length))
+    @cached_property
+    def _pair_prefix(self) -> list[int]:
+        """Letter counts of the shortest prefix holding every length-2 factor.
+
+        A pair added in round r of the closure lies inside
+        sigma^r(u0 u1), so scanning those prefixes in turn ends.
+        """
+        k = len(self._images)
+        u0 = self.stream.seed
+        u1 = self._images[u0][1]
+        r = 0
         while True:
-            length *= 2
-            second = fn(self._window(length))
-            if first == second:
-                return second
-            first = second
+            lengths = self._lengths(r)
+            arr = self._prefix(lengths[u0] + lengths[u1]).astype(np.int64)
+            codes, first = np.unique(arr[:-1] * k + arr[1:], return_index=True)
+            if len(codes) == len(self._pairs):
+                return np.bincount(arr[: int(first.max()) + 2], minlength=k).tolist()
+            r += 1
 
-    def _ds_sums(self, length: int) -> np.ndarray:
-        cs = self._ds_cumsum
-        if cs is None or len(cs) < length + 1:
-            arr = self._window(length)
-            cs = np.concatenate(([0], np.cumsum(self._values[arr])))
-            self._ds_cumsum = cs
-        return cs
+    def _certified_length(self, n: int) -> int:
+        """|sigma^K(p)| for the pair prefix p and the least K with every
+        |sigma^K(x)| >= n - 1.
 
-    def _letter_cs(self, letter: int, length: int) -> np.ndarray:
-        cs = self._letter_cumsums.get(letter)
-        if cs is None or len(cs) < length + 1:
-            arr = self._window(length)
-            cs = np.concatenate(([0], np.cumsum((arr == letter).astype(np.int64))))
-            self._letter_cumsums[letter] = cs
-        return cs
+        u = sigma^K(u) is a concatenation of blocks sigma^K(x) of length
+        at least n - 1, so every length-n factor lies inside some
+        sigma^K(ab) with ab a length-2 factor, and sigma^K(p) holds them
+        all.  It is a prefix of u, so each of its windows is a factor.
+        """
+        K = 0
+        while min(self._lengths(K)[x] for x in self._letters) < n - 1:
+            K += 1
+        lengths = self._lengths(K)
+        return sum(c * lengths[s] for s, c in enumerate(self._pair_prefix))
+
+    def _doubled_length(self, n: int) -> int:
+        """Prefix length at which the length-n factor set stops growing.
+
+        The bounded-letter fallback: a heuristic, not a proof.
+        """
+
+        def count(length: int) -> int:
+            data = self._prefix(length).tobytes()
+            return len({data[i : i + n] for i in range(length - n + 1)})
+
+        # Too short a start stops the doubling early with a wrong answer;
+        # the pair prefix at least holds every factor of length 1 and 2.
+        length = max(4096, 64 * n, sum(self._pair_prefix))
+        seen = count(length)
+        while True:
+            more = count(2 * length)
+            if more == seen:
+                return length
+            length, seen = 2 * length, more
+
+    def window(self, n: int) -> np.ndarray:
+        """Stream prefix containing every length-n factor of the fixed point."""
+        if n < 1:
+            raise WordDomainError("factor length must be positive")
+        length = self._window_lengths.get(n)
+        if length is None:
+            length = self._certified_length(n) if self.certified else self._doubled_length(n)
+            self._window_lengths[n] = length
+        return self._prefix(length)
 
     def digit_sum_set(self, n: int) -> frozenset[int]:
         """Set of digit sums attained by length-n factors."""
-        if n < 1:
-            raise WordDomainError("factor length must be positive")
-
-        def sums(window: np.ndarray) -> frozenset[int]:
-            cs = self._ds_sums(len(window))[: len(window) + 1]
-            vals = cs[n:] - cs[: len(window) - n + 1]
-            lo = int(vals.min())
-            present = np.bincount(vals - lo)
-            return frozenset((np.nonzero(present)[0] + lo).tolist())
-
-        return self._stable(n, sums)
+        window = self.window(n)
+        L = len(window)
+        cs = self._ds_cumsum
+        if cs is None or len(cs) < L + 1:
+            cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(self._values[window])))
+        vals = cs[n : L + 1] - cs[: L - n + 1]
+        lo, hi = int(vals.min()), int(vals.max())
+        if hi - lo + 1 <= len(vals):
+            present = np.nonzero(np.bincount(vals - lo))[0] + lo
+        else:
+            # a wide coding: counting every value in [lo, hi] would
+            # allocate memory in proportion to the spread
+            present = np.unique(vals)
+        return frozenset(present.tolist())
 
     def additive_complexity(self, n: int) -> int:
         return len(self.digit_sum_set(n))
 
     def parikh_set(self, n: int) -> frozenset[tuple[int, ...]]:
         """Set of letter-count vectors attained by length-n factors."""
-        if n < 1:
-            raise WordDomainError("factor length must be positive")
-        k = self.alphabet.size
-
-        def vectors(window: np.ndarray) -> frozenset[tuple[int, ...]]:
-            L = len(window)
-            cols = []
-            for letter in range(k):
-                cs = self._letter_cs(letter, L)[: L + 1]
-                cols.append(cs[n:] - cs[: L - n + 1])
-            rows = np.unique(np.column_stack(cols), axis=0)
-            return frozenset(map(tuple, rows.tolist()))
-
-        return self._stable(n, vectors)
+        window = self.window(n)
+        L = len(window)
+        cols = []
+        for letter in range(self.alphabet.size):
+            cs = self._letter_cumsums.get(letter)
+            if cs is None or len(cs) < L + 1:
+                cs = np.concatenate(([0], np.cumsum((window == letter).astype(np.int64))))
+                self._letter_cumsums[letter] = cs
+            cols.append(cs[n : L + 1] - cs[: L - n + 1])
+        rows = np.unique(np.column_stack(cols), axis=0)
+        return frozenset(map(tuple, rows.tolist()))
 
     def abelian_complexity(self, n: int) -> int:
         return len(self.parikh_set(n))
@@ -225,16 +275,15 @@ class FactorScanner:
         return max(max(v) - min(v) for v in self.parikh_set(n))
 
     def distinct_profile(self, n_max: int) -> np.ndarray:
-        """rho(1..n_max) as an array; cached and extended on demand."""
+        """rho(1..n_max) as an array; cached and extended on demand.
+
+        A factor of an infinite word extends to the right, so the window
+        for n_max also holds every shorter factor.
+        """
         if n_max < 1:
             return np.zeros(0, dtype=np.int64)
         if self._profile is None or self._profile_n_max < n_max:
-
-            def profile(window: np.ndarray) -> tuple[int, ...]:
-                return tuple(distinct_substring_profile(window, n_max).tolist())
-
-            stabilized = self._stable(n_max, profile)
-            self._profile = np.array(stabilized, dtype=np.int64)
+            self._profile = distinct_substring_profile(self.window(n_max), n_max)
             self._profile_n_max = n_max
         return self._profile[:n_max]
 
@@ -245,67 +294,34 @@ class FactorScanner:
 
     def factor_index(self, n: int) -> FactorIndex:
         """All length-n factors with first-occurrence positions."""
-        if n < 1:
-            raise WordDomainError("factor length must be positive")
-        target = self.subword_complexity(n)
-        length = recurrence_safe_window(n)
-        while True:
-            data = self._window(length).tobytes()
-            first: dict[bytes, int] = {}
-            for i in range(len(data) - n + 1):
-                b = data[i : i + n]
-                if b not in first:
-                    first[b] = i
-                    if len(first) == target:
-                        return FactorIndex(n, length, self.alphabet, first)
-            length *= 2
+        data = self.window(n).tobytes()
+        first: dict[bytes, int] = {}
+        for i in range(len(data) - n + 1):
+            first.setdefault(data[i : i + n], i)
+        return FactorIndex(n, len(data), self.alphabet, first)
 
     def recurrence_index(self, n: int) -> int:
         """Shortest prefix length containing every length-n factor."""
-        target = self.subword_complexity(n)
-        length = recurrence_safe_window(n)
-        while True:
-            data = self._window(length).tobytes()
-            seen: set[bytes] = set()
-            for i in range(len(data) - n + 1):
-                b = data[i : i + n]
-                if b not in seen:
-                    seen.add(b)
-                    if len(seen) == target:
-                        return i + n
-            length *= 2
+        return max(self.factor_index(n).first_occurrence.values()) + n
 
 
-def _scanner(source, coding: Coding | None = None) -> FactorScanner:
-    if isinstance(source, FactorScanner):
-        if coding is not None and source.coding != coding:
-            raise WordDomainError("scanner already carries a different coding")
-        return source
-    return FactorScanner(source, coding)
+def _pair_closure(images: tuple[bytes, ...], seed: int) -> frozenset[bytes]:
+    """Length-2 factors of the fixed point of ``images`` on ``seed``.
 
-
-def subword_complexity(source, n: int) -> int:
-    return _scanner(source).subword_complexity(n)
-
-
-def abelian_complexity(source, n: int) -> int:
-    return _scanner(source).abelian_complexity(n)
-
-
-def additive_complexity(source, n: int, coding: Coding | None = None) -> int:
-    return _scanner(source, coding).additive_complexity(n)
-
-
-def digit_sum_set(source, n: int, coding: Coding | None = None) -> frozenset[int]:
-    return _scanner(source, coding).digit_sum_set(n)
-
-
-def evenness(source, n: int) -> int:
-    return _scanner(source).evenness(n)
-
-
-def recurrence_index(source, n: int) -> int:
-    return _scanner(source).recurrence_index(n)
+    Start from u0 u1; add the inner pairs of sigma(x) for every letter x
+    found so far and the straddling pair last(sigma(a)) first(sigma(b))
+    for every pair ab found so far, until nothing new appears.
+    """
+    pairs = {images[seed][:2]}
+    while True:
+        new = set(pairs)
+        for x in {s for p in pairs for s in p}:
+            im = images[x]
+            new.update(im[i : i + 2] for i in range(len(im) - 1))
+        new.update(bytes((images[a][-1], images[b][0])) for a, b in pairs)
+        if new == pairs:
+            return frozenset(pairs)
+        pairs = new
 
 
 @dataclass(frozen=True)
@@ -346,14 +362,15 @@ def build_complexity_table(
     n_from: int,
     n_to: int,
     coding: Coding | None = None,
-    window_cap: int = DEFAULT_WINDOW_CAP,
 ) -> ComplexityTable:
     if n_from < 1 or n_to < n_from:
         raise WordDomainError("need 1 <= n_from <= n_to")
     if isinstance(source, FactorScanner):
-        scanner = _scanner(source, coding)
+        if coding is not None and source.coding != coding:
+            raise WordDomainError("scanner already carries a different coding")
+        scanner = source
     else:
-        scanner = FactorScanner(source, coding, window_cap)
+        scanner = FactorScanner(source, coding)
     profile = scanner.distinct_profile(n_to)
     rows = []
     for n in range(n_from, n_to + 1):

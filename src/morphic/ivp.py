@@ -13,6 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .complexity import FactorScanner
 from .morphisms import DEFAULT_LENGTH_CAP, FixedPointStream, preset
 from .reports import VerifyReport, record_failure, timed
@@ -143,9 +145,11 @@ def check_ivp(source, coding, n_from: int = 3, n_to: int = 300) -> IvpReport:
         ds = sc.digit_sum_set(n)
         lo, hi = min(ds), max(ds)
         rep.tuples_checked += hi - lo + 1
-        missing = sorted(set(range(lo, hi + 1)) - ds)
-        if missing:
-            rep.gaps[n] = missing
+        if len(ds) < hi - lo + 1:
+            # one flag per value of [lo, hi], not one Python int
+            absent = np.ones(hi - lo + 1, dtype=bool)
+            absent[np.fromiter(ds, dtype=np.int64, count=len(ds)) - lo] = False
+            rep.gaps[n] = (np.nonzero(absent)[0] + lo).tolist()
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return rep
 

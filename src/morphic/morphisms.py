@@ -85,14 +85,6 @@ class Morphism:
         return w
 
 
-def apply(m: Morphism, u: Word) -> Word:
-    return m.apply(u)
-
-
-def iterate(m: Morphism, u: Word, k: int, cap: int = DEFAULT_LENGTH_CAP) -> Word:
-    return m.iterate(u, k, cap)
-
-
 class FixedPointStream:
     """Lazily materialized prefix of the fixed point of a morphism on a seed.
 
@@ -162,10 +154,6 @@ class FixedPointStream:
     def letter(self, i: int) -> int:
         self.ensure(i + 1)
         return int(self._buf[i])
-
-
-def prefix(s: FixedPointStream, n: int) -> Word:
-    return s.prefix(n)
 
 
 def _require_uniform(m: Morphism, seed: int) -> int:

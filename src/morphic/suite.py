@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import checks, ivp, regularity
-from .complexity import DEFAULT_WINDOW_CAP, FactorScanner
+from .complexity import FactorScanner
 from .ivp import sigma3_stream
 from .reports import VerifyReport
 from .witnesses import ternary_stream
@@ -22,23 +22,22 @@ from .words import WordDomainError
 
 @dataclass
 class SuiteContext:
-    """Shared scanners and resource knobs for one batch of checks."""
+    """Shared scanners and the worker-process knob for one batch of checks."""
 
     jobs: int | None = None
-    window_cap: int = DEFAULT_WINDOW_CAP
     _tml: FactorScanner | None = field(default=None, repr=False)
     _sigma3: FactorScanner | None = field(default=None, repr=False)
 
     @property
     def tml(self) -> FactorScanner:
         if self._tml is None:
-            self._tml = FactorScanner(ternary_stream(), window_cap=self.window_cap)
+            self._tml = FactorScanner(ternary_stream())
         return self._tml
 
     @property
     def sigma3(self) -> FactorScanner:
         if self._sigma3 is None:
-            self._sigma3 = FactorScanner(sigma3_stream(), window_cap=self.window_cap)
+            self._sigma3 = FactorScanner(sigma3_stream())
         return self._sigma3
 
 
@@ -65,7 +64,6 @@ def run_check(
     name: str,
     n_max: int | None = None,
     jobs: int | None = None,
-    window_cap: int | None = None,
     context: SuiteContext | None = None,
 ) -> VerifyReport:
     if name not in _REGISTRY:
@@ -74,17 +72,13 @@ def run_check(
         )
     default_n, runner = _REGISTRY[name]
     if context is None:
-        context = SuiteContext(
-            jobs=jobs, window_cap=window_cap if window_cap else DEFAULT_WINDOW_CAP
-        )
+        context = SuiteContext(jobs=jobs)
     elif jobs is not None:
         context.jobs = jobs
     return runner(context, n_max if n_max is not None else default_n)
 
 
-def run_all(jobs: int | None = None, window_cap: int | None = None) -> list[VerifyReport]:
+def run_all(jobs: int | None = None) -> list[VerifyReport]:
     """Every registered check at its default range, sharing one context."""
-    context = SuiteContext(
-        jobs=jobs, window_cap=window_cap if window_cap else DEFAULT_WINDOW_CAP
-    )
+    context = SuiteContext(jobs=jobs)
     return [run_check(name, context=context) for name in ALL_CHECK_NAMES]

@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
-The oracle functions here compute letters arithmetically, with no code
-shared with the package's substitution machinery; tests lean on them
-whenever a value could otherwise only be checked against itself.
+The oracle functions here compute letters arithmetically, or factors
+by the block argument on raw bytes, with no code shared with the
+package's substitution machinery; tests lean on them whenever a value
+could otherwise only be checked against itself.
 """
 
 import pytest
@@ -24,6 +25,53 @@ def digit3_letter(i: int) -> int:
         i, d = divmod(i, 3)
         s += d
     return s % 3
+
+
+def substitute(images, word: bytes, times: int = 1) -> bytes:
+    """sigma^times(word) on raw bytes; ``images[s]`` is the image of symbol s."""
+    for _ in range(times):
+        word = b"".join(images[s] for s in word)
+    return word
+
+
+def pair_closure(images, seed: int) -> set[bytes]:
+    """Length-2 factors of the fixed point: u0 u1, closed under inner and straddling pairs."""
+    pairs = {images[seed][:2]}
+    while True:
+        new = set(pairs)
+        for x in {s for p in pairs for s in p}:
+            new.update(images[x][i : i + 2] for i in range(len(images[x]) - 1))
+        for a, b in pairs:
+            new.add(bytes((images[a][-1], images[b][0])))
+        if new == pairs:
+            return pairs
+        pairs = new
+
+
+def block_power(images, seed: int, n: int, max_steps: int = 40) -> int | None:
+    """Least K with |sigma^K(x)| >= n - 1 for every letter x of the fixed
+    point, or None if some letter stays shorter for max_steps steps."""
+    letters = {s for p in pair_closure(images, seed) for s in p}
+    lengths = [1] * len(images)
+    for K in range(max_steps + 1):
+        if min(lengths[x] for x in letters) >= n - 1:
+            return K
+        lengths = [sum(lengths[s] for s in im) for im in images]
+    return None
+
+
+def block_haystacks(images, seed: int, n: int) -> list[bytes]:
+    """sigma^K(ab) for every length-2 factor ab; together they hold every
+    length-n factor, and each of their windows is one."""
+    K = block_power(images, seed, n)
+    return [substitute(images, p, K) for p in pair_closure(images, seed)]
+
+
+def block_factors(images, seed: int, n: int) -> set[bytes]:
+    out = set()
+    for hay in block_haystacks(images, seed, n):
+        out |= brute_factors(hay, n)
+    return out
 
 
 def brute_factors(data: bytes, n: int) -> set[bytes]:

@@ -1,0 +1,149 @@
+"""The certified factor window, checked against the block-argument oracle."""
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    block_factors,
+    block_power,
+    brute_factors,
+    brute_parikh_set,
+    pair_closure,
+    popcount_letter,
+    substitute,
+)
+from morphic.complexity import FactorScanner, build_complexity_table
+from morphic.morphisms import FixedPointStream, Morphism, parse_morphism_spec
+from morphic.witnesses import ternary_stream
+from morphic.words import Alphabet, Coding, Word
+
+N_MAX = 16
+# Largest scan window a drawn morphism may need, which keeps each example cheap.
+WINDOW_LIMIT = 1 << 15
+BRUTE_LENGTH = 1 << 16
+
+SIX_LETTERS = """
+a -> afff
+b -> beae
+c -> fcbb
+d -> ecfe
+e -> dfaa
+f -> afcd
+"""
+
+
+def window_size(images, n: int) -> int | None:
+    """Length of sigma^K(u[:i+2]), i the last first occurrence of a length-2 factor."""
+    K = block_power(images, 0, n)
+    if K is None:
+        return None
+    pairs = pair_closure(images, 0)
+    prefix = images[0][:2]
+    while {prefix[i : i + 2] for i in range(len(prefix) - 1)} != pairs:
+        prefix = substitute(images, prefix)
+        if len(prefix) > WINDOW_LIMIT:
+            return None
+    end = max(prefix.find(p) for p in pairs) + 2
+    sizes = {}
+    for s in set(prefix[:end]):
+        block = bytes((s,))
+        for _ in range(K):
+            block = substitute(images, block)
+            if len(block) > WINDOW_LIMIT:
+                return None
+        sizes[s] = len(block)
+    return sum(sizes[s] for s in prefix[:end])
+
+
+@st.composite
+def growing_morphisms(draw):
+    """Images over 2-6 letters of length 1-5, prolongable on letter 0."""
+    k = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(2, 5))] * k
+    else:
+        widths = [draw(st.integers(1, 5)) for _ in range(k)]
+        widths[0] = max(widths[0], 2)
+    images = [bytearray(draw(st.lists(st.integers(0, k - 1), min_size=w, max_size=w))) for w in widths]
+    images[0][0] = 0
+    images = tuple(bytes(im) for im in images)
+    size = window_size(images, N_MAX)
+    assume(size is not None and size <= WINDOW_LIMIT)
+    values = tuple(draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)))
+    return images, values
+
+
+def stream_of(images) -> FixedPointStream:
+    alpha = Alphabet(tuple(range(len(images))))
+    return FixedPointStream(Morphism(alpha, tuple(Word(alpha, im) for im in images)), 0)
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(growing_morphisms())
+def test_table_matches_block_oracle(case):
+    images, values = case
+    stream = stream_of(images)
+    scanner = FactorScanner(stream, Coding(stream.alphabet, values))
+    assert scanner.certified
+    rows = build_complexity_table(scanner, 1, N_MAX).rows
+    factors = block_factors(images, 0, N_MAX)
+    # The oracle's closure rule, checked without it: every window of a long
+    # prefix is a factor, and the prefix outgrows the certified window.
+    prefix = bytes((0,))
+    while len(prefix) < BRUTE_LENGTH:
+        prefix = substitute(images, prefix)
+    assert brute_factors(prefix[:BRUTE_LENGTH], N_MAX) == factors
+    for row in rows:
+        n = row.n
+        layer = {f[:n] for f in factors}
+        vectors = {tuple(f.count(bytes((s,))) for s in range(len(images))) for f in layer}
+        sums = {sum(c * v for c, v in zip(p, values)) for p in vectors}
+        got = (row.rho, row.rho_ab, row.rho_plus, row.ds_min, row.ds_max)
+        assert got == (len(layer), len(vectors), len(sums), min(sums), max(sums)), n
+
+
+def test_six_letter_morphism_has_54_factors_of_length_3():
+    spec = parse_morphism_spec(SIX_LETTERS)
+    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
+    assert scanner.certified
+    assert scanner.subword_complexity(3) == 54
+    images = tuple(im.symbols for im in spec.morphism.images)
+    assert len(block_factors(images, spec.seed, 3)) == 54
+
+
+def test_chacon_takes_the_doubling_fallback():
+    spec = parse_morphism_spec("0 -> 0010\n1 -> 1\n")
+    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
+    assert scanner.certified is False
+    assert [scanner.subword_complexity(n) for n in range(2, 13)] == [2 * n - 1 for n in range(2, 13)]
+
+
+def test_fallback_start_reaches_a_late_letter():
+    # u = 0 (1^300 2)(1^300 2)...: the first 2 sits past a 64n-symbol window
+    # for small n, where the 1s alone look like a stable factor set.
+    spec = parse_morphism_spec("0 -> 0" + "1" * 300 + "2\n1 -> 1\n2 -> 2\n")
+    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
+    assert scanner.certified is False
+    prefix = substitute((bytes((0,)) + bytes((1,)) * 300 + bytes((2,)), bytes((1,)), bytes((2,))), bytes((0,)), 8)
+    for row in build_complexity_table(scanner, 1, 4).rows:
+        vectors = brute_parikh_set(prefix, row.n)
+        sums = {b + 2 * c for _, b, c in vectors}
+        expected = (len(brute_factors(prefix, row.n)), len(vectors), len(sums), min(sums), max(sums))
+        assert (row.rho, row.rho_ab, row.rho_plus, row.ds_min, row.ds_max) == expected, row.n
+
+
+def test_window_holds_every_factor(tml_scan):
+    tml_images = (bytes((0, 1)), bytes((1, 2)), bytes((2, 0)))
+    for n in (1, 2, 3, 7, 17, 33):
+        window = bytes(tml_scan.window(n))
+        assert {window[i : i + n] for i in range(len(window) - n + 1)} == block_factors(tml_images, 0, n)
+
+
+def test_wide_coding_digit_sums():
+    stream = ternary_stream()
+    values = (0, 1, 10**15)
+    scanner = FactorScanner(stream, Coding(stream.alphabet, values))
+    prefix = bytes(popcount_letter(i) for i in range(4096))
+    for n in range(1, 5):
+        expected = {b + c * 10**15 for _, b, c in brute_parikh_set(prefix, n)}
+        assert scanner.digit_sum_set(n) == frozenset(expected)

@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -86,6 +88,27 @@ class TestComplexity:
         code, out, _ = run(capsys, "complexity", "--n-to", "2", "--format", "json")
         rows = json.loads(out)
         assert code == 0 and rows[1]["rho"] == 9
+
+    def test_wide_coding_fits_in_2gb(self):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphic.cli", "complexity", "--coding", "0,1,1000000000", "--n-to", "4"],
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_memory,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1] == "1,3,3,3,0,1000000000,1"
+
+    def test_window_over_cap_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("a -> aaaaaaaaaaaaaaab\nb -> bb\n")
+        code, _, err = run(capsys, "complexity", "--morphism", str(f), "--n-to", "100")
+        assert code == 2
+        assert "exceeds the cap" in err
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "complexity", "--n-from", "5", "--n-to", "2")

@@ -9,9 +9,8 @@ from morphic.complexity import (
     build_complexity_table,
     distinct_substring_profile,
     enumerate_factors,
-    recurrence_safe_window,
 )
-from morphic.morphisms import FixedPointStream, Morphism
+from morphic.morphisms import FixedPointStream, Morphism, preset
 from morphic.words import Coding, ResourceLimitError, Word, WordDomainError, ternary_alphabet
 
 TERN = ternary_alphabet()
@@ -74,9 +73,9 @@ class TestProfile:
 
 
 class TestScanner:
-    def test_parikh_set_matches_brute(self, tml, tml_scan):
+    def test_parikh_set_matches_brute(self, tml_scan):
         for n in (1, 2, 5, 9):
-            window = bytes(tml.array(recurrence_safe_window(n)))
+            window = bytes(tml_scan.window(n))
             assert set(tml_scan.parikh_set(n)) == brute_parikh_set(window, n)
 
     def test_coding_changes_digit_sums(self, tml):
@@ -89,10 +88,12 @@ class TestScanner:
         with pytest.raises(WordDomainError):
             FactorScanner(tml, Coding(s3.alphabet, (0, 1, 2)))
 
-    def test_window_cap_enforced(self, tml):
-        tight = FactorScanner(tml, window_cap=1024)
+    def test_window_cap_enforced(self):
+        m, seed = preset("tml")
+        tight = FactorScanner(FixedPointStream(m, seed, cap=1024))
+        assert tight.digit_sum_set(1) == frozenset({0, 1, 2})
         with pytest.raises(ResourceLimitError):
-            tight.digit_sum_set(1)
+            tight.digit_sum_set(64)
 
     def test_rejects_nonpositive_length(self, tml_scan):
         with pytest.raises(WordDomainError):
