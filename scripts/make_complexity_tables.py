@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from morphic.complexity import FactorScanner, build_complexity_table
+from morphic.complexity import build_complexity_table
 from morphic.ivp import sigma3_stream
 from morphic.witnesses import ternary_stream
 from morphic.words import Coding
@@ -30,8 +30,7 @@ def main() -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tml = FactorScanner(ternary_stream())
-    table = build_complexity_table(tml, 1, args.n_to)
+    table = build_complexity_table(ternary_stream(), 1, args.n_to)
     (out_dir / "doubling.csv").write_text(table.to_csv())
 
     rows = {r.n: r for r in table.rows}
@@ -48,14 +47,14 @@ def main() -> int:
     )
 
     s3 = sigma3_stream()
-    table3 = build_complexity_table(FactorScanner(s3), 1, args.n_to)
+    table3 = build_complexity_table(s3, 1, args.n_to)
     (out_dir / "rotation.csv").write_text(table3.to_csv())
     counts = {r.n % 3 if r.n >= 3 else None: r.rho_ab for r in table3.rows if r.n >= 3}
     print(f"rotation word, n <= {args.n_to}:")
     print(f"  distinct count vectors by n mod 3: {counts[0]}, {counts[1]}, {counts[2]}")
 
     coding = Coding(s3.alphabet, (0, 1, 3))
-    table3c = build_complexity_table(FactorScanner(s3, coding), 1, args.n_to)
+    table3c = build_complexity_table(s3, 1, args.n_to, coding=coding)
     (out_dir / "rotation-coded-013.csv").write_text(table3c.to_csv())
     gapped = sum(
         1

@@ -17,13 +17,12 @@ from morphic.suite import run_all
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="verification-reports", metavar="DIR")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    reports = run_all(jobs=args.jobs)
+    reports = run_all()
     for report in reports:
         print(report.summary_line())
         (out_dir / f"{report.check}.json").write_text(report.to_json() + "\n")

@@ -8,7 +8,6 @@ failure list certifies the range.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -241,26 +240,7 @@ def _tech_pair(ub: bytes, i: int, vb: bytes, j: int) -> bool:
     return False
 
 
-_TECH_B: list[tuple[bytes, int]] = []
-
-
-def _tech_init(b_anchors):
-    global _TECH_B
-    _TECH_B = b_anchors
-
-
-def _tech_chunk(chunk):
-    checked = 0
-    bad = []
-    for ub, i in chunk:
-        for vb, j in _TECH_B:
-            checked += 1
-            if not _tech_pair(ub, i, vb, j):
-                bad.append((i, j, ub, vb))
-    return checked, bad
-
-
-def verify_shift_gain_exhaustive(jobs: int | None = None, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_shift_gain_exhaustive(scanner: FactorScanner | None = None) -> VerifyReport:
     """Exhaustive anchored-shift sweep over all expanded length-3 factors.
 
     Expand each length-3 factor through six substitution steps (192
@@ -278,18 +258,11 @@ def verify_shift_gain_exhaustive(jobs: int | None = None, scanner: FactorScanner
         ]
         a_anchors = [(e, i) for e in expansions for i in range(64, 128) if e[i] == 0]
         b_anchors = [(e, j) for e in expansions for j in range(64, 128) if e[j] == 2]
-        if jobs is not None and jobs > 1:
-            chunks = [a_anchors[c::jobs] for c in range(jobs)]
-            with multiprocessing.Pool(jobs, initializer=_tech_init, initargs=(b_anchors,)) as pool:
-                results = pool.map(_tech_chunk, chunks)
-            checked = sum(r[0] for r in results)
-            bad = [t for r in results for t in r[1]]
-        else:
-            _tech_init(b_anchors)
-            checked, bad = _tech_chunk(a_anchors)
-        report.tuples_checked = checked
-        for i, j, ub, vb in bad:
-            record_failure(report, f"i={i}, j={j}: no shift reaches gain 1")
+        for ub, i in a_anchors:
+            for vb, j in b_anchors:
+                if not _tech_pair(ub, i, vb, j):
+                    record_failure(report, f"i={i}, j={j}: no shift reaches gain 1")
+        report.tuples_checked = len(a_anchors) * len(b_anchors)
     return report
 
 

@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .complexity import FactorScanner, build_complexity_table
+from .complexity import build_complexity_table
 from .ivp import check_ivp
 from .morphisms import (
     DEFAULT_LENGTH_CAP,
@@ -105,9 +105,9 @@ def cmd_verify(args) -> int:
     if args.check == "all":
         if args.n_max is not None:
             raise WordDomainError("--n-max applies to a single check, not 'all'")
-        reports = run_all(jobs=args.jobs)
+        reports = run_all()
     else:
-        reports = [run_check(args.check, n_max=args.n_max, jobs=args.jobs)]
+        reports = [run_check(args.check, n_max=args.n_max)]
     payload = _reports_json(reports)
     _emit(payload, args.out)
     status = sys.stderr if not args.out else sys.stdout
@@ -118,12 +118,9 @@ def cmd_verify(args) -> int:
 
 def cmd_ivp(args) -> int:
     stream, coding = resolve_source(args)
-    if coding is None:
-        coding = Coding.identity(stream.alphabet)
-    scanner = FactorScanner(stream, coding)
-    rep = check_ivp(scanner, coding, args.n_from, args.n_to)
-    _emit(json.dumps(rep.to_dict(), indent=2) + "\n", args.out)
-    return 0 if rep.holds else 1
+    rep = check_ivp(stream, coding, args.n_from, args.n_to)
+    _emit(_reports_json([rep]), args.out)
+    return 0 if rep.passed else 1
 
 
 def cmd_kernel(args) -> int:
@@ -169,30 +166,23 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
 
-    perf = argparse.ArgumentParser(add_help=False)
-    perf.add_argument("--jobs", type=int, metavar="N", help="worker processes where supported")
-
     p = sub.add_parser("generate", parents=[source, output], help="print a prefix of the fixed point")
     p.add_argument("--length", type=int, required=True, metavar="L")
     p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser(
-        "complexity", parents=[source, output, perf], help="per-length complexity table"
-    )
+    p = sub.add_parser("complexity", parents=[source, output], help="per-length complexity table")
     p.add_argument("--n-from", type=int, default=1, metavar="A")
     p.add_argument("--n-to", type=int, default=64, metavar="B")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_complexity)
 
-    p = sub.add_parser("verify", parents=[output, perf], help="run a named check, or all of them")
+    p = sub.add_parser("verify", parents=[output], help="run a named check, or all of them")
     p.add_argument("check", choices=(*ALL_CHECK_NAMES, "all"))
     p.add_argument("--n-max", type=int, metavar="N", help="override the check's default range")
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser(
-        "ivp", parents=[source, output, perf], help="gap census of attainable digit sums"
-    )
+    p = sub.add_parser("ivp", parents=[source, output], help="gap census of attainable digit sums")
     p.add_argument("--n-from", type=int, default=3, metavar="A")
     p.add_argument("--n-to", type=int, default=300, metavar="B")
     p.add_argument("--format", choices=("json",), default="json")

@@ -133,8 +133,8 @@ class FactorScanner:
             raise WordDomainError("coding over a different alphabet")
         self.stream = stream
         self.coding = coding
-        values = coding.values if coding is not None else stream.alphabet.letters
-        self._values = np.array(values, dtype=np.int64)
+        self._coded = coding.values if coding is not None else stream.alphabet.letters
+        self._max_value = max(map(abs, self._coded))
         self._images = tuple(im.symbols for im in stream.morphism.images)
         self._pairs = _pair_closure(self._images, stream.seed)
         self._letters = {s for p in self._pairs for s in p}
@@ -232,11 +232,16 @@ class FactorScanner:
 
     def digit_sum_set(self, n: int) -> frozenset[int]:
         """Set of digit sums attained by length-n factors."""
+        if n * self._max_value >= 1 << 63:
+            raise WordDomainError(f"digit sums of length {n} under this coding overflow int64")
         window = self.window(n)
         L = len(window)
         cs = self._ds_cumsum
         if cs is None or len(cs) < L + 1:
-            cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(self._values[window])))
+            # The running sums may wrap, but their differences are exact
+            # modulo 2**64, hence exact for sums bounded as above.
+            values = np.array(self._coded, dtype=np.int64)
+            cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(values[window])))
         vals = cs[n : L + 1] - cs[: L - n + 1]
         lo, hi = int(vals.min()), int(vals.max())
         if hi - lo + 1 <= len(vals):
@@ -358,19 +363,11 @@ class ComplexityTable:
 
 
 def build_complexity_table(
-    source,
-    n_from: int,
-    n_to: int,
-    coding: Coding | None = None,
+    stream: FixedPointStream, n_from: int, n_to: int, coding: Coding | None = None
 ) -> ComplexityTable:
     if n_from < 1 or n_to < n_from:
         raise WordDomainError("need 1 <= n_from <= n_to")
-    if isinstance(source, FactorScanner):
-        if coding is not None and source.coding != coding:
-            raise WordDomainError("scanner already carries a different coding")
-        scanner = source
-    else:
-        scanner = FactorScanner(source, coding)
+    scanner = FactorScanner(stream, coding)
     profile = scanner.distinct_profile(n_to)
     rows = []
     for n in range(n_from, n_to + 1):

@@ -10,15 +10,17 @@ is cross-checked against direct window scans.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .complexity import FactorScanner
 from .morphisms import DEFAULT_LENGTH_CAP, FixedPointStream, preset
 from .reports import VerifyReport, record_failure, timed
-from .words import Coding, WordDomainError
+from .words import Coding, ResourceLimitError, WordDomainError
+
+# Most digit sums one gap census may check; its report lists the missing ones.
+CENSUS_CAP = 1 << 24
 
 PREDICTED_OFFSETS: dict[int, tuple[tuple[int, int, int], ...]] = {
     0: ((1, 0, -1), (0, 0, 0), (1, -1, 0), (0, 1, -1), (-1, 1, 0), (-1, 0, 1), (0, -1, 1)),
@@ -82,76 +84,42 @@ def verify_parikh_prediction(
     return report
 
 
-@dataclass
-class IvpReport:
-    """Gap census for one coding: missing interior digit sums per length."""
-
-    coding: tuple[int, ...]
-    n_from: int
-    n_to: int
-    gaps: dict[int, list[int]] = field(default_factory=dict)
-    tuples_checked: int = 0
-    elapsed_ms: float = 0.0
-
-    @property
-    def holds(self) -> bool:
-        return not self.gaps
-
-    @property
-    def failures(self) -> list[str]:
-        return [f"n={n}: missing {vals}" for n, vals in sorted(self.gaps.items())]
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "ivp",
-            "coding": list(self.coding),
-            "range": f"{self.n_from}<=n<={self.n_to}",
-            "tuples_checked": self.tuples_checked,
-            "gaps": {str(n): vals for n, vals in sorted(self.gaps.items())},
-            "failures": self.failures,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-
-
-def check_ivp(source, coding, n_from: int = 3, n_to: int = 300) -> IvpReport:
+def check_ivp(stream: FixedPointStream, coding, n_from: int = 3, n_to: int = 300) -> VerifyReport:
     """Which lengths leave holes between the least and greatest digit sum.
 
-    ``source`` is a stream or a scanner; ``coding`` is a Coding or a
-    value tuple over the stream's alphabet.  A length n contributes a
-    gap entry when some value strictly between the attained minimum and
-    maximum is attained by no factor of that length.
+    ``coding`` is a Coding or a value tuple over the stream's alphabet;
+    None sums the letter values.  A length n is gapped when some value
+    strictly between the attained minimum and maximum is attained by no
+    factor of that length; ``gaps`` lists every such value, so the
+    census stops with ResourceLimitError before it would check more
+    than CENSUS_CAP values.
     """
     if n_from < 1 or n_to < n_from:
         raise WordDomainError("need 1 <= n_from <= n_to")
-    if isinstance(source, FactorScanner):
-        sc = source
-        if coding is not None:
-            values = tuple(coding.values if isinstance(coding, Coding) else coding)
-            # a scanner without an explicit coding sums the letter values
-            have = sc.coding.values if sc.coding is not None else sc.alphabet.letters
-            if have != values:
-                raise WordDomainError("scanner coding does not match the requested one")
-    else:
-        if not isinstance(coding, Coding):
-            coding = Coding(source.alphabet, tuple(coding))
-        sc = FactorScanner(source, coding)
-    t0 = time.perf_counter()
-    rep = IvpReport(
-        coding=tuple(sc.coding.values) if sc.coding else tuple(sc.alphabet.letters),
-        n_from=n_from,
-        n_to=n_to,
-    )
-    for n in range(n_from, n_to + 1):
-        ds = sc.digit_sum_set(n)
-        lo, hi = min(ds), max(ds)
-        rep.tuples_checked += hi - lo + 1
-        if len(ds) < hi - lo + 1:
-            # one flag per value of [lo, hi], not one Python int
-            absent = np.ones(hi - lo + 1, dtype=bool)
-            absent[np.fromiter(ds, dtype=np.int64, count=len(ds)) - lo] = False
-            rep.gaps[n] = (np.nonzero(absent)[0] + lo).tolist()
-    rep.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return rep
+    if coding is None:
+        coding = Coding.identity(stream.alphabet)
+    elif not isinstance(coding, Coding):
+        coding = Coding(stream.alphabet, tuple(coding))
+    sc = FactorScanner(stream, coding)
+    values = ",".join(map(str, coding.values))
+    report = VerifyReport("ivp", f"coding {values}; {n_from}<=n<={n_to}", 0, gaps={})
+    with timed(report):
+        for n in range(n_from, n_to + 1):
+            ds = sc.digit_sum_set(n)
+            lo, hi = min(ds), max(ds)
+            if report.tuples_checked + hi - lo + 1 > CENSUS_CAP:
+                raise ResourceLimitError(
+                    f"gap census would check more than {CENSUS_CAP} digit sums by n={n}"
+                )
+            report.tuples_checked += hi - lo + 1
+            if len(ds) < hi - lo + 1:
+                # one flag per value of [lo, hi], not one Python int
+                absent = np.ones(hi - lo + 1, dtype=bool)
+                absent[np.fromiter(ds, dtype=np.int64, count=len(ds)) - lo] = False
+                missing = (np.nonzero(absent)[0] + lo).tolist()
+                report.gaps[n] = missing
+                record_failure(report, f"n={n}: {len(missing)} missing, least {missing[0]}")
+    return report
 
 
 def verify_coding_grid(

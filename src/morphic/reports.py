@@ -15,6 +15,8 @@ class VerifyReport:
     ``failures`` holds human-readable strings, one per offending tuple,
     capped by the producing check; an empty list means the check
     passed.  ``notes`` carries observations that are not failures.
+    ``gaps``, set only by the gap census, maps each gapped length to
+    every missing digit sum.
     """
 
     check: str
@@ -23,6 +25,7 @@ class VerifyReport:
     failures: list[str] = field(default_factory=list)
     elapsed_ms: float = 0.0
     notes: list[str] = field(default_factory=list)
+    gaps: dict[int, list[int]] | None = None
 
     @property
     def passed(self) -> bool:
@@ -38,6 +41,8 @@ class VerifyReport:
         }
         if self.notes:
             d["notes"] = list(self.notes)
+        if self.gaps is not None:
+            d["gaps"] = {str(n): vals for n, vals in sorted(self.gaps.items())}
         return d
 
     def to_json(self) -> str:

@@ -22,9 +22,8 @@ from .words import WordDomainError
 
 @dataclass
 class SuiteContext:
-    """Shared scanners and the worker-process knob for one batch of checks."""
+    """Shared scanners for one batch of checks."""
 
-    jobs: int | None = None
     _tml: FactorScanner | None = field(default=None, repr=False)
     _sigma3: FactorScanner | None = field(default=None, repr=False)
 
@@ -49,7 +48,7 @@ _REGISTRY = {
     "mirror-closure": (10, lambda ctx, n: checks.verify_mirror_closure(n, ctx.tml)),
     "dc-counts": (24, lambda ctx, n: checks.verify_surplus_balance_counts(n)),
     "prefix-suffix": (4096, lambda ctx, n: checks.verify_witness_affixes(n)),
-    "tech-lemma": (None, lambda ctx, n: checks.verify_shift_gain_exhaustive(ctx.jobs, ctx.tml)),
+    "tech-lemma": (None, lambda ctx, n: checks.verify_shift_gain_exhaustive(ctx.tml)),
     "ivp-small": (128, lambda ctx, n: checks.verify_interior_sums_small(n, ctx.tml)),
     "additive-recurrence": (256, lambda ctx, n: regularity.verify_additive_recurrence(n, ctx.tml)),
     "kernel": (256, lambda ctx, n: regularity.verify_kernel_affine(e_max=6, T=n, scanner=ctx.tml)),
@@ -60,25 +59,18 @@ _REGISTRY = {
 ALL_CHECK_NAMES = tuple(_REGISTRY)
 
 
-def run_check(
-    name: str,
-    n_max: int | None = None,
-    jobs: int | None = None,
-    context: SuiteContext | None = None,
-) -> VerifyReport:
+def run_check(name: str, n_max: int | None = None, context: SuiteContext | None = None) -> VerifyReport:
     if name not in _REGISTRY:
         raise WordDomainError(
             f"unknown check {name!r}; available: {', '.join(ALL_CHECK_NAMES)}"
         )
     default_n, runner = _REGISTRY[name]
     if context is None:
-        context = SuiteContext(jobs=jobs)
-    elif jobs is not None:
-        context.jobs = jobs
+        context = SuiteContext()
     return runner(context, n_max if n_max is not None else default_n)
 
 
-def run_all(jobs: int | None = None) -> list[VerifyReport]:
+def run_all() -> list[VerifyReport]:
     """Every registered check at its default range, sharing one context."""
-    context = SuiteContext(jobs=jobs)
+    context = SuiteContext()
     return [run_check(name, context=context) for name in ALL_CHECK_NAMES]

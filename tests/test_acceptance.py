@@ -115,11 +115,11 @@ def test_criterion_09_rotation_word_structure(capsys, s3_acc):
         expected = 7 if n % 3 == 0 else 6
         assert s3_acc.abelian_complexity(n) == expected, n
 
-    flat = check_ivp(s3_acc, (0, 1, 2), 3, 300)
-    assert flat.holds and flat.gaps == {}
+    flat = check_ivp(s3_acc.stream, (0, 1, 2), 3, 300)
+    assert flat.passed and flat.gaps == {}
 
     skewed = check_ivp(sigma3_stream(), (0, 1, 3), 3, 300)
-    assert not skewed.holds
+    assert not skewed.passed
     for m in range(1, 100):
         n = 3 * m + 1
         if n > 300:

@@ -83,9 +83,8 @@ def stream_of(images) -> FixedPointStream:
 def test_table_matches_block_oracle(case):
     images, values = case
     stream = stream_of(images)
-    scanner = FactorScanner(stream, Coding(stream.alphabet, values))
-    assert scanner.certified
-    rows = build_complexity_table(scanner, 1, N_MAX).rows
+    assert FactorScanner(stream).certified
+    rows = build_complexity_table(stream, 1, N_MAX, coding=Coding(stream.alphabet, values)).rows
     factors = block_factors(images, 0, N_MAX)
     # The oracle's closure rule, checked without it: every window of a long
     # prefix is a factor, and the prefix outgrows the certified window.
@@ -122,10 +121,10 @@ def test_fallback_start_reaches_a_late_letter():
     # u = 0 (1^300 2)(1^300 2)...: the first 2 sits past a 64n-symbol window
     # for small n, where the 1s alone look like a stable factor set.
     spec = parse_morphism_spec("0 -> 0" + "1" * 300 + "2\n1 -> 1\n2 -> 2\n")
-    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
-    assert scanner.certified is False
+    stream = FixedPointStream(spec.morphism, spec.seed)
+    assert FactorScanner(stream).certified is False
     prefix = substitute((bytes((0,)) + bytes((1,)) * 300 + bytes((2,)), bytes((1,)), bytes((2,))), bytes((0,)), 8)
-    for row in build_complexity_table(scanner, 1, 4).rows:
+    for row in build_complexity_table(stream, 1, 4).rows:
         vectors = brute_parikh_set(prefix, row.n)
         sums = {b + 2 * c for _, b, c in vectors}
         expected = (len(brute_factors(prefix, row.n)), len(vectors), len(sums), min(sums), max(sums))

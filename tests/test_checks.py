@@ -64,10 +64,6 @@ class TestVerifiers:
         assert rep.passed
         assert rep.tuples_checked == 102400
 
-    def test_shift_gain_parallel_agrees(self, scan):
-        rep = checks.verify_shift_gain_exhaustive(jobs=2, scanner=scan)
-        assert rep.passed and rep.tuples_checked == 102400
-
     def test_halving_inequality(self, scan):
         assert checks.verify_halving_inequality(32, scan).passed
 

@@ -20,6 +20,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_in_2gb(*argv):
+    """The console script in a child process under a 2 GB address-space limit."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "morphic.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+
+
 class TestParseCoding:
     def test_positional(self):
         assert parse_coding("0,1,3", TERN).values == (0, 1, 3)
@@ -90,16 +105,7 @@ class TestComplexity:
         assert code == 0 and rows[1]["rho"] == 9
 
     def test_wide_coding_fits_in_2gb(self):
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "morphic.cli", "complexity", "--coding", "0,1,1000000000", "--n-to", "4"],
-            capture_output=True,
-            text=True,
-            preexec_fn=limit_memory,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        )
+        proc = run_in_2gb("complexity", "--coding", "0,1,1000000000", "--n-to", "4")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1] == "1,3,3,3,0,1000000000,1"
 
@@ -113,6 +119,15 @@ class TestComplexity:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "complexity", "--n-from", "5", "--n-to", "2")
         assert code == 2 and "morphic:" in err
+
+    @pytest.mark.parametrize(
+        "coding, n_from, n_to",
+        [("0,1,1000000000000000000", "30", "31"), ("0,1,100000000000000000000", "1", "2")],
+    )
+    def test_digit_sums_past_int64_are_usage_errors(self, capsys, coding, n_from, n_to):
+        code, out, err = run(capsys, "complexity", "--coding", coding, "--n-from", n_from, "--n-to", n_to)
+        assert code == 2 and out == ""
+        assert err.startswith("morphic: ") and "overflow int64" in err and err.count("\n") == 1
 
 
 class TestVerify:
@@ -129,6 +144,9 @@ class TestVerify:
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "nope"]) == 2
+
+    def test_jobs_flag_is_gone(self, capsys):
+        assert main(["verify", "tech-lemma", "--jobs", "2"]) == 2
 
     def test_all_rejects_n_max(self, capsys):
         code, _, err = run(capsys, "verify", "all", "--n-max", "5")
@@ -157,6 +175,24 @@ class TestIvp:
         )
         assert code == 1
         assert json.loads(out)["gaps"]["4"] == [3]
+
+    def test_one_report_with_capped_failures(self, capsys):
+        code, out, _ = run(capsys, "ivp", "--preset", "sigma3", "--coding", "0,1,3", "--n-to", "300")
+        assert code == 1
+        report = json.loads(out)
+        assert report["check"] == "ivp" and report["range"] == "coding 0,1,3; 3<=n<=300"
+        # lengths 3m+1 miss exactly 4m-1, lengths 3m+2 miss exactly 4m+5
+        expected = {str(3 * m + 1): [4 * m - 1] for m in range(1, 100)}
+        expected.update({str(3 * m + 2): [4 * m + 5] for m in range(1, 100)})
+        assert report["gaps"] == expected and len(expected) == 198
+        assert len(report["failures"]) == 33
+        assert report["failures"][0] == "n=4: 1 missing, least 3"
+        assert report["failures"][-1] == "... further failures suppressed"
+
+    def test_wide_census_is_refused_in_2gb(self):
+        proc = run_in_2gb("ivp", "--coding", "0,1,1000000000", "--n-from", "1", "--n-to", "4")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
 
 
 class TestKernel:

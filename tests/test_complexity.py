@@ -84,6 +84,15 @@ class TestScanner:
         for n in (1, 3, 6):
             assert doubled.digit_sum_set(n) == frozenset(2 * v for v in plain.digit_sum_set(n))
 
+    def test_large_coding_matches_brute(self, tml):
+        # 9 * 10**18 < 2**63 <= 10 * 10**18: the last length whose sums fit int64
+        sc = FactorScanner(tml, Coding(TERN, (0, 1, 10**18)))
+        window = bytes(sc.window(9))
+        expected = {b + c * 10**18 for _, b, c in brute_parikh_set(window, 9)}
+        assert sc.digit_sum_set(9) == frozenset(expected)
+        with pytest.raises(WordDomainError, match="overflow int64"):
+            sc.digit_sum_set(10)
+
     def test_coding_must_match_stream_alphabet(self, s3, tml):
         with pytest.raises(WordDomainError):
             FactorScanner(tml, Coding(s3.alphabet, (0, 1, 2)))
@@ -136,6 +145,3 @@ class TestTable:
         with pytest.raises(WordDomainError):
             build_complexity_table(tml, 3, 2)
 
-    def test_accepts_scanner(self, tml_scan):
-        table = build_complexity_table(tml_scan, 1, 2)
-        assert table.rows[0].rho == 3

@@ -2,6 +2,7 @@ import pytest
 
 from morphic.complexity import FactorScanner
 from morphic.ivp import (
+    CENSUS_CAP,
     PREDICTED_OFFSETS,
     check_ivp,
     predicted_coded_ds_set,
@@ -10,7 +11,7 @@ from morphic.ivp import (
     verify_coding_grid,
     verify_parikh_prediction,
 )
-from morphic.words import Coding, WordDomainError
+from morphic.words import Coding, ResourceLimitError, WordDomainError
 
 
 class TestOffsetFamily:
@@ -43,12 +44,14 @@ class TestOffsetFamily:
 class TestCodedSums:
     def test_identity_coding_has_no_gaps(self, s3):
         rep = check_ivp(s3, (0, 1, 2), 3, 60)
-        assert rep.holds
-        assert rep.failures == []
+        assert rep.passed
+        assert rep.failures == [] and rep.gaps == {}
+        # no coding sums the letter values, here the same identity coding
+        assert check_ivp(s3, None, 3, 60).gaps == {}
 
     def test_spread_coding_gap_structure(self, s3):
         rep = check_ivp(s3, (0, 1, 3), 3, 61)
-        assert not rep.holds
+        assert not rep.passed
         for n in range(3, 62):
             m, r = divmod(n, 3)
             if r == 0:
@@ -66,12 +69,13 @@ class TestCodedSums:
     def test_report_dict_shape(self, s3):
         d = check_ivp(s3, (0, 1, 3), 3, 7).to_dict()
         assert d["check"] == "ivp"
-        assert d["coding"] == [0, 1, 3]
-        assert d["gaps"] and d["failures"]
+        assert d["range"] == "coding 0,1,3; 3<=n<=7"
+        assert d["gaps"] == {"4": [3], "5": [9], "7": [7]}
+        assert d["failures"] == ["n=4: 1 missing, least 3", "n=5: 1 missing, least 9", "n=7: 1 missing, least 7"]
 
-    def test_scanner_coding_mismatch_rejected(self, s3_scan):
-        with pytest.raises(WordDomainError):
-            check_ivp(s3_scan, (0, 1, 3), 3, 5)
+    def test_census_cap(self, s3):
+        with pytest.raises(ResourceLimitError, match="gap census"):
+            check_ivp(s3, (0, 1, CENSUS_CAP), 1, 2)
 
     def test_range_validation(self, s3):
         with pytest.raises(WordDomainError):
