@@ -3,11 +3,9 @@
 from .complexity import (
     ComplexityRow,
     ComplexityTable,
-    FactorIndex,
     FactorScanner,
     build_complexity_table,
     distinct_substring_profile,
-    enumerate_factors,
 )
 from .ivp import check_ivp, predicted_coded_ds_set, predicted_parikh_set, sigma3_stream
 from .morphisms import (
@@ -15,27 +13,22 @@ from .morphisms import (
     Morphism,
     MorphismParseError,
     MorphismSpec,
-    automatic_letter,
     automatic_prefix,
     load_morphism_file,
     parse_morphism_spec,
     preset,
 )
-from .regularity import additive_complexity_closed_form, kernel
+from .regularity import additive_complexity_closed_form
 from .reports import VerifyReport
 from .suite import ALL_CHECK_NAMES, run_all, run_check
-from .witnesses import is_factor, sigma_power, ternary_stream, witness, witness_word
+from .witnesses import is_factor, ternary_stream, witness
 from .words import (
     Alphabet,
     Coding,
-    ParikhVector,
     ResourceLimitError,
     Word,
     WordDomainError,
     code,
-    digit_sum,
-    mirror,
-    parikh,
     tau,
     ternary_alphabet,
 )
@@ -47,32 +40,24 @@ __all__ = [
     "Coding",
     "ComplexityRow",
     "ComplexityTable",
-    "FactorIndex",
     "FactorScanner",
     "FixedPointStream",
     "Morphism",
     "MorphismParseError",
     "MorphismSpec",
-    "ParikhVector",
     "ResourceLimitError",
     "VerifyReport",
     "Word",
     "WordDomainError",
     "ALL_CHECK_NAMES",
     "additive_complexity_closed_form",
-    "automatic_letter",
     "automatic_prefix",
     "build_complexity_table",
     "check_ivp",
     "code",
-    "digit_sum",
     "distinct_substring_profile",
-    "enumerate_factors",
     "is_factor",
-    "kernel",
     "load_morphism_file",
-    "mirror",
-    "parikh",
     "parse_morphism_spec",
     "predicted_coded_ds_set",
     "predicted_parikh_set",
@@ -80,10 +65,8 @@ __all__ = [
     "run_all",
     "run_check",
     "sigma3_stream",
-    "sigma_power",
     "tau",
     "ternary_alphabet",
     "ternary_stream",
     "witness",
-    "witness_word",
 ]

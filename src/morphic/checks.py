@@ -25,7 +25,7 @@ from .witnesses import (
     witness,
     witness_occurrence,
 )
-from .words import ResourceLimitError, Word, WordDomainError, digit_sum, mirror, parikh, tau
+from .words import ResourceLimitError, Word, WordDomainError, tau
 
 
 def floor_log2(n: int) -> int:
@@ -85,18 +85,18 @@ def verify_witnesses(n_max: int = 4096) -> VerifyReport:
             if len(whole) != n:
                 record_failure(report, f"n={n}: length {len(whole)}")
                 continue
-            ds = digit_sum(whole)
+            ds = whole.digit_sum()
             if ds != n + w.k + 1:
                 record_failure(report, f"n={n}: digit sum {ds}, expected {n + w.k + 1}")
-            pv = parikh(whole)
+            pv = whole.parikh()
             if pv[2] - pv[0] != w.k + 1:
                 record_failure(report, f"n={n}: letter imbalance {pv[2] - pv[0]}, expected {w.k + 1}")
             if not is_factor(whole):
                 record_failure(report, f"n={n}: witness rejected by the pair-context membership test")
-            low = mirror(tau(1, whole))
-            if digit_sum(low) != n - w.k - 1:
+            low = tau(1, whole).mirror()
+            if low.digit_sum() != n - w.k - 1:
                 record_failure(
-                    report, f"n={n}: low witness digit sum {digit_sum(low)}, expected {n - w.k - 1}"
+                    report, f"n={n}: low witness digit sum {low.digit_sum()}, expected {n - w.k - 1}"
                 )
             if not is_factor(low):
                 record_failure(report, f"n={n}: low witness is not a factor")
@@ -127,15 +127,16 @@ def verify_swap_reverse_commutation(n_max: int = 10, scanner: FactorScanner | No
         checked = 0
         plus_failures = 0
         for n in range(1, n_max + 1):
-            for u in sc.factor_index(n).factors():
+            for b in sc.factor_index(n):
+                u = Word(sc.alphabet, b)
                 mu = m.apply(u)
                 for c in range(3):
                     checked += 1
-                    lhs = m.apply(mirror(tau(c, u)))
-                    rhs = mirror(tau((c - 1) % 3, mu))
+                    lhs = m.apply(tau(c, u).mirror())
+                    rhs = tau((c - 1) % 3, mu).mirror()
                     if lhs != rhs:
                         record_failure(report, f"u={u}, c={c}: images differ")
-                    if lhs != mirror(tau((c + 1) % 3, mu)):
+                    if lhs != tau((c + 1) % 3, mu).mirror():
                         plus_failures += 1
         report.tuples_checked = checked
         report.notes.append(
@@ -156,10 +157,11 @@ def verify_mirror_closure(n_max: int = 10, scanner: FactorScanner | None = None)
         sc = _scanner(scanner)
         checked = 0
         for n in range(1, n_max + 1):
-            for u in sc.factor_index(n).factors():
+            for b in sc.factor_index(n):
+                u = Word(sc.alphabet, b)
                 for c in range(3):
                     checked += 1
-                    if not is_factor(mirror(tau(c, u))):
+                    if not is_factor(tau(c, u).mirror()):
                         record_failure(report, f"u={u}, c={c}: swapped reversal is not a factor")
         report.tuples_checked = checked
     return report
@@ -252,10 +254,7 @@ def verify_shift_gain_exhaustive(scanner: FactorScanner | None = None) -> Verify
     report = VerifyReport("tech-lemma", "|u|=|v|=3, 64<=i,j<128", 0)
     with timed(report):
         sc = _scanner(scanner)
-        factors = sc.factor_index(3).factors()
-        expansions = [
-            b"".join(sigma_power_bytes(s, 6) for s in u.symbols) for u in factors
-        ]
+        expansions = [b"".join(sigma_power_bytes(s, 6) for s in u) for u in sc.factor_index(3)]
         a_anchors = [(e, i) for e in expansions for i in range(64, 128) if e[i] == 0]
         b_anchors = [(e, j) for e in expansions for j in range(64, 128) if e[j] == 2]
         for ub, i in a_anchors:
@@ -386,7 +385,7 @@ def shift_scan(u: Word, i: int, stream=None) -> ShiftScan:
     occ = bytes(stream.array(i + n)[i : i + n])
     if occ != u.symbols:
         raise WordDomainError(f"word does not occur at position {i}")
-    start = digit_sum(u)
+    start = u.digit_sum()
     ceiling = witness(n).target_digit_sum
     if start >= ceiling:
         raise WordDomainError("digit sum is already maximal; no later window exceeds it")

@@ -1,4 +1,4 @@
-"""Command-line interface: generate, complexity, verify, ivp, kernel, witness."""
+"""Command-line interface: generate, complexity, verify, ivp, witness."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from .morphisms import (
     load_morphism_file,
     preset,
 )
-from .regularity import verify_kernel_affine
 from .reports import VerifyReport
 from .suite import ALL_CHECK_NAMES, run_all, run_check
 from .witnesses import witness, witness_occurrence
@@ -123,12 +122,6 @@ def cmd_ivp(args) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_kernel(args) -> int:
-    rep = verify_kernel_affine(e_max=args.e_max, T=args.len, source=args.source)
-    _emit(rep.to_json() + "\n", args.out)
-    return 0 if rep.passed else 1
-
-
 def cmd_witness(args) -> int:
     w = witness(args.length)
     if args.format == "json":
@@ -187,14 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-to", type=int, default=300, metavar="B")
     p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=cmd_ivp)
-
-    p = sub.add_parser(
-        "kernel", parents=[output], help="arithmetic-subsequence structure of the additive count"
-    )
-    p.add_argument("--e-max", type=int, default=6, metavar="E")
-    p.add_argument("--len", type=int, default=256, metavar="T")
-    p.add_argument("--source", choices=("closed", "enumerated"), default="closed")
-    p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("witness", parents=[output], help="maximal-digit-sum factor of one length")
     p.add_argument("--length", type=int, required=True, metavar="N")

@@ -12,7 +12,8 @@ them all.  A morphism with a bounded letter, whose iterated image
 length stops growing, falls back to doubling the window until its set
 of length-n factors stops growing; ``FactorScanner.certified`` tells
 the two routes apart.  No window may exceed ``WINDOW_CAP`` symbols: a
-larger one raises ResourceLimitError instead of exhausting memory.
+larger one raises ResourceLimitError instead of exhausting memory, and
+so does a factor-count profile over a window of more than ``PROFILE_CAP``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .morphisms import FixedPointStream
-from .words import Alphabet, Coding, ResourceLimitError, Word, WordDomainError
+from .words import Alphabet, Coding, ResourceLimitError, WordDomainError
 
 WINDOW_CAP = 1 << 26
+# The suffix automaton takes about 480 bytes per symbol, 1 GB at this cap.
+PROFILE_CAP = 1 << 21
 
 CSV_COLUMNS = ("n", "rho", "rho_ab", "rho_plus", "ds_min", "ds_max", "evenness")
 
@@ -80,38 +82,6 @@ def distinct_substring_profile(data, n_max: int) -> np.ndarray:
             diff[lo] += 1
             diff[hi + 1] -= 1
     return np.cumsum(diff[1 : n_max + 1])
-
-
-def enumerate_factors(w: Word, n: int) -> list[Word]:
-    """Distinct length-n factors of a finite word, in first-occurrence order."""
-    if n < 1 or n > len(w):
-        return []
-    seen: dict[bytes, None] = {}
-    data = w.symbols
-    for i in range(len(data) - n + 1):
-        seen.setdefault(data[i : i + n])
-    return [Word(w.alphabet, b) for b in seen]
-
-
-@dataclass(frozen=True)
-class FactorIndex:
-    """Distinct length-n factors of a stream with their first occurrences."""
-
-    n: int
-    prefix_len: int
-    alphabet: Alphabet
-    first_occurrence: dict[bytes, int]
-
-    def __len__(self) -> int:
-        return len(self.first_occurrence)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, Word):
-            item = item.symbols
-        return item in self.first_occurrence
-
-    def factors(self) -> list[Word]:
-        return [Word(self.alphabet, b) for b in self.first_occurrence]
 
 
 class FactorScanner:
@@ -288,7 +258,13 @@ class FactorScanner:
         if n_max < 1:
             return np.zeros(0, dtype=np.int64)
         if self._profile is None or self._profile_n_max < n_max:
-            self._profile = distinct_substring_profile(self.window(n_max), n_max)
+            window = self.window(n_max)
+            if len(window) > PROFILE_CAP:
+                raise ResourceLimitError(
+                    f"factor counts up to length {n_max} need a {len(window)}-symbol window, "
+                    f"over the profile cap of {PROFILE_CAP}"
+                )
+            self._profile = distinct_substring_profile(window, n_max)
             self._profile_n_max = n_max
         return self._profile[:n_max]
 
@@ -297,17 +273,17 @@ class FactorScanner:
             raise WordDomainError("factor length must be positive")
         return int(self.distinct_profile(max(n, self._profile_n_max))[n - 1])
 
-    def factor_index(self, n: int) -> FactorIndex:
-        """All length-n factors with first-occurrence positions."""
+    def factor_index(self, n: int) -> dict[bytes, int]:
+        """Every length-n factor with its first occurrence, in that order."""
         data = self.window(n).tobytes()
         first: dict[bytes, int] = {}
         for i in range(len(data) - n + 1):
             first.setdefault(data[i : i + n], i)
-        return FactorIndex(n, len(data), self.alphabet, first)
+        return first
 
     def recurrence_index(self, n: int) -> int:
         """Shortest prefix length containing every length-n factor."""
-        return max(self.factor_index(n).first_occurrence.values()) + n
+        return max(self.factor_index(n).values()) + n
 
 
 def _pair_closure(images: tuple[bytes, ...], seed: int) -> frozenset[bytes]:
@@ -356,10 +332,6 @@ class ComplexityTable:
     def to_json(self) -> str:
         payload = [dict(zip(CSV_COLUMNS, row.as_tuple())) for row in self.rows]
         return json.dumps(payload, indent=2) + "\n"
-
-    def write(self, path: str | Path, fmt: str = "csv") -> None:
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        Path(path).write_text(text)
 
 
 def build_complexity_table(

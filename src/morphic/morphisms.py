@@ -1,9 +1,9 @@
 """Letter-to-word morphisms, their iteration, and fixed-point streams.
 
 Two independent generation routes are provided for uniform morphisms:
-whole-prefix substitution (FixedPointStream) and direct digit-path
-evaluation (automatic_letter / automatic_prefix).  Agreement between
-the two guards every downstream computation against generator bugs.
+prefix substitution (FixedPointStream) and direct digit-path
+evaluation (automatic_prefix).  Agreement between the two guards
+every downstream computation against generator bugs.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class Morphism:
             if len(im) == 0:
                 raise WordDomainError("erasing morphisms are not supported")
         object.__setattr__(self, "images", images)
-
-    def image(self, symbol: int) -> Word:
-        return self.images[symbol]
 
     @property
     def uniform_width(self) -> int | None:
@@ -124,6 +121,14 @@ class FixedPointStream:
         return len(self._buf)
 
     def ensure(self, n: int) -> None:
+        """Materialize at least the first n symbols.
+
+        Each step applies the morphism only to the shortest prefix whose
+        image reaches n, so fewer than n + max|sigma(x)| symbols are
+        materialized for the largest request n.
+        """
+        if n < 0:
+            raise WordDomainError(f"prefix length {n} is negative")
         if n <= len(self._buf):
             return
         if n > self.cap:
@@ -132,13 +137,16 @@ class FixedPointStream:
             buf = self._buf
             while len(buf) < n:
                 if self._imat is not None:
-                    buf = self._imat[buf].reshape(-1)
+                    width = self._imat.shape[1]
+                    buf = self._imat[buf[: (n + width - 1) // width]].reshape(-1)
                 else:
-                    images = self.morphism.images
+                    images = [im.symbols for im in self.morphism.images]
+                    # ends[i] = |sigma(buf[:i + 1])|
+                    ends = np.cumsum(np.array([len(im) for im in images], dtype=np.int64)[buf])
                     out = bytearray()
-                    for s in buf.tolist():
-                        out += images[s].symbols
-                    buf = np.frombuffer(bytes(out), dtype=np.uint8).copy()
+                    for s in buf[: int(np.searchsorted(ends, n)) + 1].tolist():
+                        out += images[s]
+                    buf = np.frombuffer(out, dtype=np.uint8)
             self._buf = buf
 
     def array(self, n: int) -> np.ndarray:
@@ -152,41 +160,23 @@ class FixedPointStream:
         return Word(self.alphabet, bytes(self.array(n)))
 
     def letter(self, i: int) -> int:
+        if i < 0:
+            raise WordDomainError(f"letter index {i} is negative")
         self.ensure(i + 1)
         return int(self._buf[i])
 
 
-def _require_uniform(m: Morphism, seed: int) -> int:
-    width = m.uniform_width
-    if width is None or width < 2:
+def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
+    """First n letters via vectorized digit-path evaluation.
+
+    Independent of the substitution route: letter i walks the base-r
+    digits of i (most significant first) through the image table.
+    """
+    r = m.uniform_width
+    if r is None or r < 2:
         raise WordDomainError("digit-path evaluation requires a uniform morphism of width >= 2")
     if not m.is_prolongable_on(seed):
         raise WordDomainError("morphism is not prolongable on the requested seed")
-    return width
-
-
-def automatic_letter(m: Morphism, seed: int, i: int) -> int:
-    """Letter i of the fixed point, computed from the base-r digits of i.
-
-    Independent of the substitution route: the state walks the digit
-    string of i (most significant first) through the image table.
-    """
-    r = _require_uniform(m, seed)
-    if i < 0:
-        raise WordDomainError("index must be non-negative")
-    digits = []
-    while i:
-        i, d = divmod(i, r)
-        digits.append(d)
-    state = seed
-    for d in reversed(digits):
-        state = m.images[state].symbols[d]
-    return state
-
-
-def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
-    """First n letters via vectorized digit-path evaluation."""
-    r = _require_uniform(m, seed)
     if n <= 0:
         return np.zeros(0, dtype=np.uint8)
     flat = np.array(

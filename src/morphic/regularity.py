@@ -9,7 +9,6 @@ is only trusted after being cross-checked against the scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .complexity import FactorScanner
@@ -25,49 +24,14 @@ def additive_complexity_closed_form(n: int) -> int:
     return 2 * (n.bit_length() - 1) + 3
 
 
-def enumerated_additive_source(scanner: FactorScanner | None = None):
+def enumerated_additive_source(sc: FactorScanner):
     """Callable n -> scanned additive complexity, memoized per index."""
-    sc = scanner if scanner is not None else FactorScanner(ternary_stream())
 
     @lru_cache(maxsize=None)
     def source(n: int) -> int:
         return sc.additive_complexity(n)
 
     return source
-
-
-def resolve_source(source: str, scanner: FactorScanner | None = None):
-    if source == "closed":
-        return additive_complexity_closed_form
-    if source == "enumerated":
-        return enumerated_additive_source(scanner)
-    raise WordDomainError(f"unknown source {source!r}; use 'closed' or 'enumerated'")
-
-
-@dataclass(frozen=True)
-class KernelElement:
-    """One arithmetic subsequence n -> a(2^e n + c), sampled at n = 1..T."""
-
-    e: int
-    c: int
-    values: tuple[int, ...]
-
-
-def kernel(
-    source: str = "closed",
-    e_max: int = 6,
-    T: int = 64,
-    scanner: FactorScanner | None = None,
-) -> list[KernelElement]:
-    """All subsequences a(2^e n + c), e <= e_max, 0 <= c < 2^e."""
-    if e_max < 0 or T < 1:
-        raise WordDomainError("need e_max >= 0 and T >= 1")
-    fn = resolve_source(source, scanner)
-    out = []
-    for e in range(e_max + 1):
-        for c in range(1 << e):
-            out.append(KernelElement(e, c, tuple(fn((n << e) + c) for n in range(1, T + 1))))
-    return out
 
 
 def verify_additive_recurrence(n_max: int = 256, scanner: FactorScanner | None = None) -> VerifyReport:
@@ -89,31 +53,28 @@ def verify_additive_recurrence(n_max: int = 256, scanner: FactorScanner | None =
 def verify_kernel_affine(
     e_max: int = 6,
     T: int = 256,
-    source: str = "closed",
     scanner: FactorScanner | None = None,
     cross_check_n: int = 512,
 ) -> VerifyReport:
     """Every subsequence a(2^e n + c) equals a(n) + 2e, term by term.
 
-    With the closed-form source, the closed form is first cross-checked
-    against window scans on 1..cross_check_n, so the sweep never rests
-    on the formula alone.
+    The sweep runs on the closed form, which is first cross-checked
+    against window scans on 1..cross_check_n, so it never rests on the
+    formula alone.
     """
     elements = sum(1 << e for e in range(e_max + 1))
     report = VerifyReport("kernel", f"e<={e_max}, 1<=n<={T}", elements * T)
     with timed(report):
         sc = scanner if scanner is not None else FactorScanner(ternary_stream())
-        if source == "closed" and cross_check_n:
+        fn = additive_complexity_closed_form
+        if cross_check_n:
             scanned = enumerated_additive_source(sc)
             for n in range(1, cross_check_n + 1):
-                if additive_complexity_closed_form(n) != scanned(n):
+                if fn(n) != scanned(n):
                     record_failure(
-                        report,
-                        f"closed form disagrees with scan at n={n}: "
-                        f"{additive_complexity_closed_form(n)} vs {scanned(n)}",
+                        report, f"closed form disagrees with scan at n={n}: {fn(n)} vs {scanned(n)}"
                     )
             report.notes.append(f"closed form cross-checked against scans on 1<=n<={cross_check_n}")
-        fn = resolve_source(source, sc)
         distinct = set()
         for e in range(e_max + 1):
             for c in range(1 << e):
@@ -126,7 +87,5 @@ def verify_kernel_affine(
                     if n <= 64:
                         probe.append(got)
                 distinct.add(tuple(probe))
-        report.notes.append(
-            f"{elements} subsequences, {len(distinct)} distinct as sequences (source: {source})"
-        )
+        report.notes.append(f"{elements} subsequences, {len(distinct)} distinct as sequences (source: closed)")
     return report

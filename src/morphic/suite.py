@@ -64,6 +64,8 @@ def run_check(name: str, n_max: int | None = None, context: SuiteContext | None 
         raise WordDomainError(
             f"unknown check {name!r}; available: {', '.join(ALL_CHECK_NAMES)}"
         )
+    if n_max is not None and n_max < 1:
+        raise WordDomainError(f"n_max must be at least 1, got {n_max}")
     default_n, runner = _REGISTRY[name]
     if context is None:
         context = SuiteContext()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .morphisms import DEFAULT_LENGTH_CAP, FixedPointStream, preset
-from .words import Word, WordDomainError, digit_sum, ternary_alphabet
+from .words import Word, WordDomainError, ternary_alphabet
 
 _IMAGES = (bytes((0, 1)), bytes((1, 2)), bytes((2, 0)))
 
@@ -52,10 +52,6 @@ def sigma_power_bytes(letter: int, e: int) -> bytes:
         return bytes((letter,))
     prev = sigma_power_bytes(letter, e - 1)
     return b"".join(_IMAGES[s] for s in prev)
-
-
-def sigma_power(letter: int, e: int) -> Word:
-    return Word(ternary_alphabet(), sigma_power_bytes(letter, e))
 
 
 def ternary_stream(cap: int = DEFAULT_LENGTH_CAP) -> FixedPointStream:
@@ -170,11 +166,3 @@ def witness_occurrence(n: int) -> int:
     if idx < 0:
         raise RuntimeError(f"witness of length {n} missing from its occurrence context")
     return idx
-
-
-def witness_word(n: int) -> Word:
-    return witness(n).whole
-
-
-def witness_digit_sum(n: int) -> int:
-    return digit_sum(witness(n).whole)

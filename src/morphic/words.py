@@ -105,29 +105,6 @@ def ternary_alphabet() -> Alphabet:
 
 
 @dataclass(frozen=True)
-class ParikhVector:
-    """Per-letter occurrence counts of a word, in alphabet order."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise WordDomainError("occurrence counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def length(self) -> int:
-        return sum(self.counts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.counts[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
-
-
-@dataclass(frozen=True)
 class Coding:
     """Letter-to-integer map giving each letter a digit value.
 
@@ -167,10 +144,6 @@ class Word:
     def from_text(cls, alphabet: Alphabet, text: str) -> "Word":
         return cls(alphabet, alphabet.parse(text))
 
-    @classmethod
-    def from_letters(cls, alphabet: Alphabet, values: Iterable[int]) -> "Word":
-        return cls(alphabet, bytes(alphabet.symbol_of(v) for v in values))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -199,10 +172,12 @@ class Word:
     def mirror(self) -> "Word":
         return Word(self.alphabet, self.symbols[::-1])
 
-    def parikh(self) -> ParikhVector:
-        return ParikhVector(tuple(self.symbols.count(i) for i in range(self.alphabet.size)))
+    def parikh(self) -> tuple[int, ...]:
+        """Per-letter occurrence counts, in alphabet order."""
+        return tuple(self.symbols.count(i) for i in range(self.alphabet.size))
 
     def digit_sum(self, coding: Coding | None = None) -> int:
+        """Sum of the coded letter values; the empty word sums to 0."""
         if coding is None:
             values = self.alphabet.letters
         else:
@@ -210,19 +185,6 @@ class Word:
                 raise WordDomainError("coding is over a different alphabet")
             values = coding.values
         return sum(values[s] for s in self.symbols)
-
-
-def digit_sum(u: Word, coding: Coding | None = None) -> int:
-    """Sum of the coded letter values of u; the empty word sums to 0."""
-    return u.digit_sum(coding)
-
-
-def parikh(u: Word) -> ParikhVector:
-    return u.parikh()
-
-
-def mirror(u: Word) -> Word:
-    return u.mirror()
 
 
 def tau(c: int, u: Word) -> Word:
@@ -238,15 +200,6 @@ def tau(c: int, u: Word) -> Word:
     table = bytearray(range(256))
     table[a], table[b] = b, a
     return Word(u.alphabet, u.symbols.translate(bytes(table)))
-
-
-def letter_shift(x: int, delta: int) -> int:
-    """The letter (x + delta) mod 3 for x in {0,1,2} and delta in {-1,+1}."""
-    if x not in (0, 1, 2):
-        raise WordDomainError("letter must be 0, 1 or 2")
-    if delta not in (-1, 1):
-        raise WordDomainError("shift must be -1 or +1")
-    return (x + delta) % 3
 
 
 def code(coding: Coding, u: Word) -> Word:

@@ -3,7 +3,7 @@ import pytest
 
 import morphic.checks as checks
 from morphic.complexity import FactorScanner
-from morphic.witnesses import witness_word
+from morphic.witnesses import witness
 from morphic.words import Word, WordDomainError, ternary_alphabet
 
 TERN = ternary_alphabet()
@@ -90,7 +90,7 @@ class TestShiftScan:
             checks.shift_scan(Word.from_text(TERN, "22"), 0, tml)
 
     def test_rejects_maximal_sum(self, tml):
-        w = witness_word(4)
+        w = witness(4).whole
         i = bytes(tml.array(64)).find(w.symbols)
         assert i >= 0
         with pytest.raises(WordDomainError):

@@ -79,6 +79,22 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "--morphism", str(f), "--length", "4")
         assert code == 0 and out == "0,12,12,0\n"
 
+    def test_negative_length_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "generate", "--length", "-5")
+        assert code == 2 and out == ""
+        assert err.startswith("morphic: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ones", [3000, 2000])
+    def test_long_image_prefix_fits_in_2gb(self, tmp_path, ones):
+        # 0 -> 0 1^2999, 1 -> 1^ones: one whole step past 9*10^6 symbols
+        # would ask for more than 10^10
+        f = tmp_path / "m.txt"
+        f.write_text(f"0 -> 0{'1' * 2999}\n1 -> {'1' * ones}\n")
+        out = tmp_path / "w.txt"
+        proc = run_in_2gb("generate", "--morphism", str(f), "--length", "9000001", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == "0" + "1" * 9_000_000 + "\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "generate", "--morphism", "/no/such/file", "--length", "4")
         assert code == 2 and "morphic:" in err
@@ -116,6 +132,12 @@ class TestComplexity:
         assert code == 2
         assert "exceeds the cap" in err
 
+    def test_profile_over_cap_is_refused_in_2gb(self):
+        proc = run_in_2gb("complexity", "--n-to", "400000")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
+        assert "profile cap" in proc.stderr
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "complexity", "--n-from", "5", "--n-to", "2")
         assert code == 2 and "morphic:" in err
@@ -141,6 +163,12 @@ class TestVerify:
     def test_check_with_small_override(self, capsys):
         code, out, _ = run(capsys, "verify", "theorem1", "--n-max", "64")
         assert code == 0 and json.loads(out)["tuples_checked"] == 64
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_nonpositive_n_max_is_usage_error(self, capsys, n_max):
+        code, out, err = run(capsys, "verify", "theorem1", "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert err.startswith("morphic: ")
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "nope"]) == 2
@@ -197,10 +225,14 @@ class TestIvp:
 
 class TestKernel:
     def test_closed(self, capsys):
-        code, out, _ = run(capsys, "kernel", "--e-max", "2", "--len", "16")
+        code, out, _ = run(capsys, "verify", "kernel", "--n-max", "16")
         assert code == 0
         report = json.loads(out)
-        assert report["tuples_checked"] == 7 * 16
+        assert report["tuples_checked"] == 127 * 16
+        assert report["notes"][-1] == "127 subsequences, 7 distinct as sequences (source: closed)"
+
+    def test_subcommand_is_gone(self, capsys):
+        assert main(["kernel", "--e-max", "6", "--len", "256"]) == 2
 
 
 class TestWitness:

@@ -8,7 +8,6 @@ from morphic.complexity import (
     FactorScanner,
     build_complexity_table,
     distinct_substring_profile,
-    enumerate_factors,
 )
 from morphic.morphisms import FixedPointStream, Morphism, preset
 from morphic.words import Coding, ResourceLimitError, Word, WordDomainError, ternary_alphabet
@@ -45,10 +44,10 @@ class TestFrozenValues:
 
     def test_length_3_factor_set(self, tml_scan):
         idx = tml_scan.factor_index(3)
-        assert {str(w) for w in idx.factors()} == LENGTH_3_FACTORS
+        assert {str(Word(TERN, b)) for b in idx} == LENGTH_3_FACTORS
         assert len(idx) == 15
-        assert Word.from_text(TERN, "011") in idx
-        assert Word.from_text(TERN, "000") not in idx
+        assert Word.from_text(TERN, "011").symbols in idx
+        assert Word.from_text(TERN, "000").symbols not in idx
 
     def test_sigma3_abelian_pattern(self, s3_scan):
         got = [s3_scan.abelian_complexity(n) for n in range(3, 31)]
@@ -65,11 +64,6 @@ class TestProfile:
 
     def test_profile_empty_for_nonpositive(self):
         assert distinct_substring_profile(b"abc", 0).tolist() == []
-
-    def test_enumerate_factors(self):
-        w = Word.from_text(TERN, "010")
-        assert [str(u) for u in enumerate_factors(w, 2)] == ["01", "10"]
-        assert enumerate_factors(w, 4) == []
 
 
 class TestScanner:

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import digit3_letter, popcount_letter
 from morphic.morphisms import (
     FixedPointStream,
     Morphism,
     MorphismParseError,
-    automatic_letter,
     automatic_prefix,
     parse_morphism_spec,
     preset,
@@ -99,6 +96,28 @@ class TestFixedPointStream:
         with pytest.raises(ResourceLimitError):
             s.ensure(4096)
 
+    def test_negative_lengths_rejected(self):
+        m, seed = preset("tml")
+        s = FixedPointStream(m, seed)
+        s.ensure(128)
+        with pytest.raises(WordDomainError):
+            s.array(-1)
+        with pytest.raises(WordDomainError):
+            s.prefix(-3)
+        with pytest.raises(WordDomainError):
+            s.letter(-1)
+
+    @pytest.mark.parametrize("images", [("001", "1"), ("011", "111"), ("0111", "11")])
+    def test_materializes_less_than_one_image_past_the_request(self, images):
+        alpha = Alphabet((0, 1))
+        m = Morphism(alpha, tuple(Word.from_text(alpha, im) for im in images))
+        widest = max(map(len, images))
+        for n in (2, 5, 100, 1001):
+            s = FixedPointStream(m, 0)
+            prefix = s.array(n)
+            assert n <= s.materialized < n + widest
+            assert prefix.tobytes() == m.iterate(Word(alpha, b"\x00"), 12).symbols[:n]
+
     def test_self_similarity(self, tml):
         # each substitution step maps the length-n prefix onto the length-2n prefix
         m = tml.morphism
@@ -125,12 +144,6 @@ class TestArithmeticRoutes:
     def test_sigma3_against_ternary_digit_sums(self, s3):
         assert [digit3_letter(i) for i in range(81)] == s3.array(81).tolist()
 
-    @settings(deadline=None)
-    @given(st.integers(0, 1 << 30))
-    def test_automatic_letter_matches_oracle(self, i):
-        m, seed = preset("tml")
-        assert automatic_letter(m, seed, i) == popcount_letter(i)
-
     @pytest.mark.parametrize("name,oracle", [("tml", popcount_letter), ("sigma3", digit3_letter)])
     def test_automatic_prefix(self, name, oracle):
         m, seed = preset(name)
@@ -140,7 +153,7 @@ class TestArithmeticRoutes:
     def test_automatic_requires_uniform(self):
         m = Morphism(TERN, (word("001"), word("0"), word("2")))
         with pytest.raises(WordDomainError):
-            automatic_letter(m, 0, 5)
+            automatic_prefix(m, 0, 5)
 
 
 class TestSpecParsing:

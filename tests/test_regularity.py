@@ -3,11 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from morphic.regularity import (
-    KernelElement,
     additive_complexity_closed_form,
     enumerated_additive_source,
-    kernel,
-    resolve_source,
     verify_additive_recurrence,
     verify_kernel_affine,
 )
@@ -34,38 +31,6 @@ def test_enumerated_source_matches_closed(tml_scan):
         assert a(n) == additive_complexity_closed_form(n)
 
 
-def test_resolve_source():
-    assert resolve_source("closed") is additive_complexity_closed_form
-    with pytest.raises(WordDomainError):
-        resolve_source("guesswork")
-
-
-class TestKernel:
-    def test_element_count(self):
-        elems = kernel("closed", e_max=3, T=8)
-        assert len(elems) == 15
-        assert elems[0] == KernelElement(0, 0, tuple(additive_complexity_closed_form(n) for n in range(1, 9)))
-
-    def test_distinct_sequences_one_per_level(self):
-        elems = kernel("closed", e_max=6, T=32)
-        assert len({el.values for el in elems}) == 7
-
-    def test_level_shift(self):
-        elems = kernel("closed", e_max=2, T=16)
-        base = elems[0].values
-        for el in elems:
-            assert tuple(v - 2 * el.e for v in el.values) == base
-
-    def test_enumerated_kernel_small(self, tml_scan):
-        closed = kernel("closed", e_max=2, T=6)
-        scanned = kernel("enumerated", e_max=2, T=6, scanner=tml_scan)
-        assert [el.values for el in closed] == [el.values for el in scanned]
-
-    def test_validation(self):
-        with pytest.raises(WordDomainError):
-            kernel("closed", e_max=-1, T=4)
-
-
 def test_additive_recurrence(tml_scan):
     rep = verify_additive_recurrence(64, tml_scan)
     assert rep.passed and rep.tuples_checked == 129
@@ -78,7 +43,3 @@ def test_kernel_affine(tml_scan):
     assert any("cross-checked" in note for note in rep.notes)
     assert any("15 subsequences, 4 distinct" in note for note in rep.notes)
 
-
-def test_kernel_affine_enumerated_source(tml_scan):
-    rep = verify_kernel_affine(e_max=2, T=8, source="enumerated", scanner=tml_scan)
-    assert rep.passed

@@ -7,16 +7,13 @@ from morphic.witnesses import (
     decomposition_haystack,
     is_factor,
     letter_pair_haystacks,
-    sigma_power,
     sigma_power_bytes,
     surplus_letter,
     ternary_stream,
     witness,
-    witness_digit_sum,
     witness_occurrence,
-    witness_word,
 )
-from morphic.words import Word, WordDomainError, parikh, ternary_alphabet
+from morphic.words import Word, WordDomainError, ternary_alphabet
 
 TERN = ternary_alphabet()
 
@@ -49,7 +46,7 @@ class TestSigmaPowers:
             assert len(sigma_power_bytes(1, e)) == 1 << e
 
     def test_power_of_seed_is_prefix(self):
-        assert str(sigma_power(0, 3)) == "01121220"
+        assert sigma_power_bytes(0, 3) == bytes((0, 1, 1, 2, 1, 2, 2, 0))
 
     def test_rejects_bad_args(self):
         with pytest.raises(WordDomainError):
@@ -60,11 +57,8 @@ class TestSigmaPowers:
 
 class TestWitness:
     def test_small_words(self):
-        assert str(witness_word(1)) == "2"
-        assert str(witness_word(2)) == "22"
-        assert str(witness_word(3)) == "122"
-        assert str(witness_word(4)) == "2122"
-        assert str(witness_word(8)) == "21220122"
+        words = {1: "2", 2: "22", 3: "122", 4: "2122", 8: "21220122"}
+        assert {n: str(witness(n).whole) for n in words} == words
 
     def test_split_at_anchor(self):
         w = witness(8)
@@ -79,8 +73,8 @@ class TestWitness:
     def test_digit_sum_and_imbalance(self):
         for n in range(1, 513):
             w = witness(n)
-            assert witness_digit_sum(n) == n + w.k + 1
-            pv = parikh(w.whole)
+            assert w.whole.digit_sum() == n + w.k + 1
+            pv = w.whole.parikh()
             assert pv[2] - pv[0] == w.k + 1
 
     def test_occurrence_in_context(self):
@@ -89,8 +83,8 @@ class TestWitness:
 
     def test_witness_found_in_stream_prefix(self):
         hay = bytes(ternary_stream().array(64))
-        assert hay.find(witness_word(2).symbols) == 5
-        assert hay.find(witness_word(8).symbols) == 3
+        assert hay.find(witness(2).whole.symbols) == 5
+        assert hay.find(witness(8).whole.symbols) == 3
 
     def test_rejects_nonpositive(self):
         with pytest.raises(WordDomainError):

@@ -8,10 +8,6 @@ from morphic.words import (
     Word,
     WordDomainError,
     code,
-    digit_sum,
-    letter_shift,
-    mirror,
-    parikh,
     tau,
     ternary_alphabet,
 )
@@ -93,29 +89,25 @@ class TestWord:
     def test_digit_sum_uses_letter_values(self):
         a = Alphabet((0, 2, 5))
         w = Word(a, b"\x00\x01\x02\x02")
-        assert digit_sum(w) == 12
+        assert w.digit_sum() == 12
 
     def test_digit_sum_with_coding(self):
         w = Word.from_text(TERN, "012")
         c = Coding(TERN, (0, 1, 3))
-        assert digit_sum(w, c) == 4
         assert w.digit_sum(c) == 4
 
     def test_parikh(self):
-        pv = parikh(Word.from_text(TERN, "0112122"))
-        assert tuple(pv) == (1, 3, 3)
-        assert pv.length == 7
-        assert pv[1] == 3
+        assert Word.from_text(TERN, "0112122").parikh() == (1, 3, 3)
 
 
 class TestOps:
     @given(ternary_words)
     def test_mirror_involution(self, w):
-        assert mirror(mirror(w)) == w
+        assert w.mirror().mirror() == w
 
     @given(ternary_words)
     def test_parikh_sums_to_length(self, w):
-        assert sum(parikh(w)) == len(w)
+        assert sum(w.parikh()) == len(w)
 
     @given(ternary_words, st.integers(0, 2))
     def test_tau_involution_and_fixed_letter(self, w, c):
@@ -125,20 +117,11 @@ class TestOps:
 
     @given(ternary_words, st.integers(0, 2))
     def test_tau_permutes_counts(self, w, c):
-        before = list(parikh(w))
-        after = list(parikh(tau(c, w)))
+        before = w.parikh()
+        after = tau(c, w).parikh()
         others = [x for x in range(3) if x != c]
         assert after[c] == before[c]
         assert after[others[0]] == before[others[1]]
-
-    def test_letter_shift(self):
-        assert letter_shift(0, 1) == 1
-        assert letter_shift(0, -1) == 2
-        assert letter_shift(2, 1) == 0
-        with pytest.raises(WordDomainError):
-            letter_shift(3, 1)
-        with pytest.raises(WordDomainError):
-            letter_shift(1, 2)
 
     def test_code_remaps_to_value_alphabet(self):
         w = Word.from_text(TERN, "0212")
