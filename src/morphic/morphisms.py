@@ -4,6 +4,11 @@ Two independent generation routes are provided for uniform morphisms:
 prefix substitution (FixedPointStream) and direct digit-path
 evaluation (automatic_prefix).  Agreement between the two guards
 every downstream computation against generator bugs.
+
+automatic_prefix never substitutes a word: every letter starts at the
+seed and walks the base-r digits of its own index, most significant
+first.  That walk, not a reuse of earlier prefixes, is what keeps it
+independent of the stream.
 """
 
 from __future__ import annotations
@@ -142,11 +147,19 @@ class FixedPointStream:
                 else:
                     images = [im.symbols for im in self.morphism.images]
                     # ends[i] = |sigma(buf[:i + 1])|
-                    ends = np.cumsum(np.array([len(im) for im in images], dtype=np.int64)[buf])
-                    out = bytearray()
-                    for s in buf[: int(np.searchsorted(ends, n)) + 1].tolist():
-                        out += images[s]
-                    buf = np.frombuffer(out, dtype=np.uint8)
+                    ends = np.array([len(im) for im in images], dtype=np.int64)[buf]
+                    np.cumsum(ends, out=ends)
+                    m = min(int(np.searchsorted(ends, n)) + 1, len(buf))
+                    cut, ends = buf[:m], ends[:m]
+                    out = np.empty(int(ends[-1]), dtype=np.uint8)
+                    # sigma(cut[i]) fills out[ends[i] - |sigma(cut[i])|:ends[i]]
+                    for s, im in enumerate(images):
+                        at = ends[cut == s]
+                        at -= len(im)
+                        for x in im:
+                            out[at] = x
+                            at += 1
+                    buf = out
             self._buf = buf
 
     def array(self, n: int) -> np.ndarray:
@@ -171,26 +184,33 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
 
     Independent of the substitution route: letter i walks the base-r
     digits of i (most significant first) through the image table.
+    Digit p of i is constant on runs of r**p indices that cycle every
+    r**(p+1), so each pass maps strided slices in place.
     """
     r = m.uniform_width
     if r is None or r < 2:
         raise WordDomainError("digit-path evaluation requires a uniform morphism of width >= 2")
     if not m.is_prolongable_on(seed):
         raise WordDomainError("morphism is not prolongable on the requested seed")
-    if n <= 0:
-        return np.zeros(0, dtype=np.uint8)
-    flat = np.array(
-        [m.images[s].symbols[d] for s in range(m.alphabet.size) for d in range(r)],
-        dtype=np.uint8,
-    )
-    idx = np.arange(n, dtype=np.int64)
+    if n < 0:
+        raise WordDomainError(f"prefix length {n} is negative")
+    if n > DEFAULT_LENGTH_CAP:
+        raise ResourceLimitError(f"prefix request {n} exceeds cap {DEFAULT_LENGTH_CAP}")
+    # step[d][s] = digit d of sigma(s)
+    step = np.array([[im.symbols[d] for im in m.images] for d in range(r)], dtype=np.uint8)
     positions = 1
     while r**positions < n:
         positions += 1
     states = np.full(n, seed, dtype=np.uint8)
     for p in range(positions - 1, -1, -1):
-        d = (idx // r**p) % r
-        states = flat[states.astype(np.int64) * r + d]
+        run = r**p
+        whole = n // (run * r) * (run * r)
+        blocks = states[:whole].reshape(-1, r, run)
+        # every state is a letter, so "clip" never clips; it spares take a copy of out
+        for d in range(r):
+            np.take(step[d], blocks[:, d, :], out=blocks[:, d, :], mode="clip")
+            tail = states[whole + d * run : whole + (d + 1) * run]
+            np.take(step[d], tail, out=tail, mode="clip")
     return states
 
 

@@ -1,0 +1,119 @@
+"""Both generation routes against the byte-level substitution oracle."""
+
+import math
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import substitute
+from morphic.morphisms import FixedPointStream, Morphism, automatic_prefix, parse_morphism_spec, preset
+from morphic.words import Alphabet, Word
+
+N_MAX = 5000
+
+
+def morphism_of(images) -> Morphism:
+    alpha = Alphabet(tuple(range(len(images))))
+    return Morphism(alpha, tuple(Word(alpha, im) for im in images))
+
+
+def oracle_prefix(images, n: int) -> bytes:
+    """First n letters of the fixed point on letter 0, substituting raw bytes."""
+    word = b"\x00"
+    while len(word) < n:
+        word = substitute(images, word[:n])
+    return word[:n]
+
+
+def images_of(draw, k: int, widths) -> tuple[bytes, ...]:
+    images = [bytearray(draw(st.lists(st.integers(0, k - 1), min_size=w, max_size=w))) for w in widths]
+    images[0][0] = 0
+    return tuple(bytes(im) for im in images)
+
+
+@st.composite
+def uniform_cases(draw):
+    """A uniform morphism over 2-8 letters of width 2-6, prolongable on 0,
+    with a length near a power of the width or anywhere up to N_MAX."""
+    k = draw(st.integers(2, 8))
+    r = draw(st.integers(2, 6))
+    images = images_of(draw, k, [r] * k)
+    p = draw(st.integers(0, int(math.log(N_MAX, r))))
+    n = draw(st.sampled_from([0, 1, r**p - 1, r**p, r**p + 1]) | st.integers(0, N_MAX))
+    return images, n
+
+
+@st.composite
+def non_uniform_morphisms(draw):
+    """Images of length 1-5, not all of one length, prolongable on 0."""
+    k = draw(st.integers(2, 6))
+    widths = [draw(st.integers(1, 5)) for _ in range(k)]
+    widths[0] = max(widths[0], 2)
+    if len(set(widths)) == 1:
+        widths[1] = 1
+    return images_of(draw, k, widths)
+
+
+@settings(deadline=None, max_examples=150)
+@given(uniform_cases())
+def test_uniform_routes_match_substitution(case):
+    images, n = case
+    m = morphism_of(images)
+    expected = oracle_prefix(images, n)
+    assert automatic_prefix(m, 0, n).tobytes() == expected
+    assert FixedPointStream(m, 0).array(n).tobytes() == expected
+
+
+def test_wide_morphism_below_one_image():
+    # n < r: the digit walk has a single pass, and all of it is the ragged tail
+    rng = np.random.default_rng(300)
+    images = [bytearray(rng.integers(0, 3, 300, dtype=np.uint8).tobytes()) for _ in range(3)]
+    images[0][0] = 0
+    images = tuple(bytes(im) for im in images)
+    m = morphism_of(images)
+    for n in (0, 1, 2, 150, 299):
+        assert automatic_prefix(m, 0, n).tobytes() == oracle_prefix(images, n)
+
+
+@settings(deadline=None, max_examples=100)
+@given(non_uniform_morphisms(), st.integers(0, N_MAX))
+def test_non_uniform_stream_matches_substitution(images, n):
+    assert FixedPointStream(morphism_of(images), 0).array(n).tobytes() == oracle_prefix(images, n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    non_uniform_morphisms() | uniform_cases().map(lambda case: case[0]),
+    st.lists(st.integers(0, N_MAX), min_size=1, max_size=8),
+)
+def test_rising_requests_stay_within_one_image(images, requests):
+    stream = FixedPointStream(morphism_of(images), 0)
+    widest = max(map(len, images))
+    expected = oracle_prefix(images, max(requests))
+    for n in sorted(requests):
+        prefix = stream.array(n)
+        assert stream.materialized < n + widest
+        assert prefix.tobytes() == expected[:n]
+
+
+def peak_bytes_per_symbol(make, n: int) -> float:
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1] / n
+    finally:
+        tracemalloc.stop()
+
+
+def test_automatic_prefix_peak_memory():
+    m, seed = preset("tml")
+    n = 1 << 22
+    assert peak_bytes_per_symbol(lambda: automatic_prefix(m, seed, n), n) < 8
+
+
+def test_non_uniform_stream_peak_memory():
+    spec = parse_morphism_spec("a -> abbc\nb -> c\nc -> ab\n")
+    n = 1 << 22
+    assert peak_bytes_per_symbol(lambda: FixedPointStream(spec.morphism, spec.seed).array(n), n) < 14

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import digit3_letter, popcount_letter
 from morphic.morphisms import (
+    DEFAULT_LENGTH_CAP,
     FixedPointStream,
     Morphism,
     MorphismParseError,
@@ -154,6 +157,22 @@ class TestArithmeticRoutes:
         m = Morphism(TERN, (word("001"), word("0"), word("2")))
         with pytest.raises(WordDomainError):
             automatic_prefix(m, 0, 5)
+
+    def test_automatic_prefix_lengths(self):
+        m, seed = preset("tml")
+        assert automatic_prefix(m, seed, 0).shape == (0,)
+        with pytest.raises(WordDomainError):
+            automatic_prefix(m, seed, -5)
+
+    def test_automatic_prefix_cap_refused_before_allocating(self):
+        m, seed = preset("tml")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                automatic_prefix(m, seed, DEFAULT_LENGTH_CAP + 1)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 class TestSpecParsing:
