@@ -11,9 +11,17 @@ so sigma^K of the shortest prefix holding every length-2 factor holds
 them all.  A morphism with a bounded letter, whose iterated image
 length stops growing, falls back to doubling the window until its set
 of length-n factors stops growing; ``FactorScanner.certified`` tells
-the two routes apart.  No window may exceed ``WINDOW_CAP`` symbols: a
-larger one raises ResourceLimitError instead of exhausting memory, and
-so does a factor-count profile over a window of more than ``PROFILE_CAP``.
+the two routes apart.
+
+Each scan over a window is a few numpy passes, with no loop per symbol:
+digit sums and letter counts are differences of cumulative sums, a
+letter-count vector is folded into one int64 key so that its distinct
+values come from a 1-D ``np.unique``, and the factor counts rho come
+from sorted suffix ranks built by prefix doubling.  The attained digit
+sums of each length are kept, so checks that share a scanner scan each
+length once.  No window may exceed ``WINDOW_CAP`` symbols: a larger one
+raises ResourceLimitError instead of exhausting memory, and so does a
+factor-count profile over a window of more than ``PROFILE_CAP``.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from .morphisms import FixedPointStream
 from .words import Alphabet, Coding, ResourceLimitError, WordDomainError
 
 WINDOW_CAP = 1 << 26
-# The suffix automaton takes about 480 bytes per symbol, 1 GB at this cap.
+# Prefix doubling peaks at about 100 bytes per symbol for n_max = 256 and
+# 165 for n_max = 2**21 (tracemalloc), 200 to 350 MB at this cap.
 PROFILE_CAP = 1 << 21
 
 CSV_COLUMNS = ("n", "rho", "rho_ab", "rho_plus", "ds_min", "ds_max", "evenness")
@@ -37,51 +46,54 @@ CSV_COLUMNS = ("n", "rho", "rho_ab", "rho_plus", "ds_min", "ds_max", "evenness")
 def distinct_substring_profile(data, n_max: int) -> np.ndarray:
     """Count distinct substrings of each length 1..n_max of ``data``.
 
-    Suffix automaton construction; each state contributes one distinct
-    substring per length in [link.len + 1, len].  Returns an int64
-    array p with p[i] = number of distinct substrings of length i + 1.
+    Prefix doubling of suffix ranks (Manber & Myers, *Suffix arrays*,
+    SIAM J. Comput. 1993).  Level j ranks every suffix by its first 2**j
+    symbols, a suffix that ends sooner ranking below its extensions;
+    level j + 1 ranks the pairs of level-j ranks at i and i + 2**j.
+    Doubling stops once 2**j >= n_max or every rank is distinct, so
+    sorting by the top level puts the suffixes that share a prefix of
+    any length n <= n_max next to each other.  The common prefix of two
+    neighbours is found by descending the levels, and
+
+        count(n) = #suffixes of length >= n - #neighbours sharing >= n symbols.
+
+    Returns an int64 array p with p[i] = number of distinct substrings
+    of length i + 1.
     """
     if n_max < 1:
         return np.zeros(0, dtype=np.int64)
-    sa_len = [0]
-    sa_link = [-1]
-    sa_next: list[dict[int, int]] = [{}]
-    last = 0
-    seq = data.tolist() if isinstance(data, np.ndarray) else list(data)
-    for ch in seq:
-        cur = len(sa_len)
-        sa_len.append(sa_len[last] + 1)
-        sa_link.append(-1)
-        sa_next.append({})
-        p = last
-        while p != -1 and ch not in sa_next[p]:
-            sa_next[p][ch] = cur
-            p = sa_link[p]
-        if p == -1:
-            sa_link[cur] = 0
-        else:
-            q = sa_next[p][ch]
-            if sa_len[p] + 1 == sa_len[q]:
-                sa_link[cur] = q
-            else:
-                clone = len(sa_len)
-                sa_len.append(sa_len[p] + 1)
-                sa_link.append(sa_link[q])
-                sa_next.append(dict(sa_next[q]))
-                while p != -1 and sa_next[p].get(ch) == q:
-                    sa_next[p][ch] = clone
-                    p = sa_link[p]
-                sa_link[q] = clone
-                sa_link[cur] = clone
-        last = cur
-    diff = np.zeros(n_max + 2, dtype=np.int64)
-    for st in range(1, len(sa_len)):
-        lo = sa_len[sa_link[st]] + 1
-        hi = min(sa_len[st], n_max)
-        if lo <= hi:
-            diff[lo] += 1
-            diff[hi + 1] -= 1
-    return np.cumsum(diff[1 : n_max + 1])
+    arr = data if isinstance(data, np.ndarray) else np.frombuffer(bytes(data), dtype=np.uint8)
+    N = len(arr)
+    levels = [arr]
+    rank = arr
+    h, distinct = 1, 0
+    while h < n_max and distinct < N:
+        # radix: the largest rank + 1, plus 0 for a suffix that has ended
+        radix = int(rank.max()) + 2
+        key = rank.astype(np.int64) * radix
+        tail = key[: max(N - h, 0)]
+        tail += rank[h:]
+        tail += 1
+        uniq, inverse = np.unique(key, return_inverse=True)
+        del key
+        distinct = len(uniq)
+        rank = inverse.astype(np.int32)
+        levels.append(rank)
+        h *= 2
+    order = np.argsort(levels[-1])
+    left, right = order[:-1], order[1:]
+    lcp = np.zeros(len(left), dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        level = levels[j]
+        a, b = left + lcp, right + lcp
+        same = (a < N) & (b < N)
+        same &= level[np.minimum(a, N - 1)] == level[np.minimum(b, N - 1)]
+        lcp += same.astype(np.int64) << j
+    shared = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
+    # shared_at_least[n] = number of neighbours sharing at least n symbols
+    shared_at_least = np.cumsum(shared[::-1])[::-1]
+    suffixes = np.maximum(N + 1 - np.arange(1, n_max + 1), 0)
+    return suffixes - shared_at_least[1:]
 
 
 class FactorScanner:
@@ -115,6 +127,7 @@ class FactorScanner:
         self.certified = all(self._lengths(a)[x] < self._lengths(2 * a)[x] for x in self._letters)
         self._window_lengths: dict[int, int] = {}
         self._ds_cumsum: np.ndarray | None = None
+        self._digit_sums: dict[int, np.ndarray] = {}
         self._letter_cumsums: dict[int, np.ndarray] = {}
         self._profile: np.ndarray | None = None
         self._profile_n_max = 0
@@ -201,43 +214,73 @@ class FactorScanner:
         return self._prefix(length)
 
     def digit_sum_set(self, n: int) -> frozenset[int]:
-        """Set of digit sums attained by length-n factors."""
+        """Set of digit sums attained by length-n factors.
+
+        Each length's sums are kept as a sorted array, so checks sharing
+        a scanner scan each length once.
+        """
         if n * self._max_value >= 1 << 63:
             raise WordDomainError(f"digit sums of length {n} under this coding overflow int64")
-        window = self.window(n)
-        L = len(window)
-        cs = self._ds_cumsum
-        if cs is None or len(cs) < L + 1:
-            # The running sums may wrap, but their differences are exact
-            # modulo 2**64, hence exact for sums bounded as above.
-            values = np.array(self._coded, dtype=np.int64)
-            cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(values[window])))
-        vals = cs[n : L + 1] - cs[: L - n + 1]
-        lo, hi = int(vals.min()), int(vals.max())
-        if hi - lo + 1 <= len(vals):
-            present = np.nonzero(np.bincount(vals - lo))[0] + lo
-        else:
-            # a wide coding: counting every value in [lo, hi] would
-            # allocate memory in proportion to the spread
-            present = np.unique(vals)
+        present = self._digit_sums.get(n)
+        if present is None:
+            window = self.window(n)
+            L = len(window)
+            cs = self._ds_cumsum
+            if cs is None or len(cs) < L + 1:
+                # The running sums may wrap, but their differences are exact
+                # modulo 2**64, hence exact for sums bounded as above.
+                values = np.array(self._coded, dtype=np.int64)
+                cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(values[window])))
+            vals = cs[n : L + 1] - cs[: L - n + 1]
+            lo, hi = int(vals.min()), int(vals.max())
+            if hi - lo + 1 <= len(vals):
+                present = np.nonzero(np.bincount(vals - lo))[0] + lo
+            else:
+                # a wide coding: counting every value in [lo, hi] would
+                # allocate memory in proportion to the spread
+                present = np.unique(vals)
+            self._digit_sums[n] = present
         return frozenset(present.tolist())
 
     def additive_complexity(self, n: int) -> int:
         return len(self.digit_sum_set(n))
 
     def parikh_set(self, n: int) -> frozenset[tuple[int, ...]]:
-        """Set of letter-count vectors attained by length-n factors."""
+        """Set of letter-count vectors attained by length-n factors.
+
+        The counts of the first k - 1 letters fold into one int64 key per
+        window in radix n + 1; the last count is n minus the others.
+        Before a column would push the key past 2**63 (16 letters reach
+        that at n = 18), the key so far is re-ranked to the indices of its
+        distinct values, which number at most the windows.  Each distinct
+        key is decoded by reading the counts at its first window.
+        """
         window = self.window(n)
-        L = len(window)
-        cols = []
-        for letter in range(self.alphabet.size):
-            cs = self._letter_cumsums.get(letter)
-            if cs is None or len(cs) < L + 1:
-                cs = np.concatenate(([0], np.cumsum((window == letter).astype(np.int64))))
-                self._letter_cumsums[letter] = cs
-            cols.append(cs[n : L + 1] - cs[: L - n + 1])
-        rows = np.unique(np.column_stack(cols), axis=0)
-        return frozenset(map(tuple, rows.tolist()))
+        starts = len(window) - n + 1
+        key = np.zeros(starts, dtype=np.int64)
+        bound = 1  # every key is below bound
+        cumsums = [self._letter_cumsum(letter, window) for letter in range(self.alphabet.size - 1)]
+        for cs in cumsums:
+            if bound * (n + 1) > 1 << 63:
+                _, key = np.unique(key, return_inverse=True)
+                bound = int(key.max()) + 1
+            key *= n + 1
+            key += cs[n : n + starts] - cs[:starts]
+            bound *= n + 1
+        _, first = np.unique(key, return_index=True)
+        counts = [cs[first + n] - cs[first] for cs in cumsums]
+        counts.append(n - sum(counts, np.zeros(len(first), dtype=np.int64)))
+        return frozenset(map(tuple, np.column_stack(counts).tolist()))
+
+    def _letter_cumsum(self, letter: int, window: np.ndarray) -> np.ndarray:
+        """Running count of ``letter`` over the window, from 0."""
+        cs = self._letter_cumsums.get(letter)
+        if cs is None or len(cs) < len(window) + 1:
+            # int32: a window holds at most WINDOW_CAP < 2**31 symbols
+            cs = np.zeros(len(window) + 1, dtype=np.int32)
+            np.cumsum(window == letter, dtype=np.int32, out=cs[1:])
+            self._letter_cumsums[letter] = cs
+        return cs
 
     def abelian_complexity(self, n: int) -> int:
         return len(self.parikh_set(n))

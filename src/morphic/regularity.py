@@ -9,8 +9,6 @@ is only trusted after being cross-checked against the scans.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .complexity import FactorScanner
 from .reports import VerifyReport, record_failure, timed
 from .witnesses import ternary_stream
@@ -24,22 +22,12 @@ def additive_complexity_closed_form(n: int) -> int:
     return 2 * (n.bit_length() - 1) + 3
 
 
-def enumerated_additive_source(sc: FactorScanner):
-    """Callable n -> scanned additive complexity, memoized per index."""
-
-    @lru_cache(maxsize=None)
-    def source(n: int) -> int:
-        return sc.additive_complexity(n)
-
-    return source
-
-
 def verify_additive_recurrence(n_max: int = 256, scanner: FactorScanner | None = None) -> VerifyReport:
     """Scanned counts satisfy a(1) = 3 and a(2n) = a(2n+1) = a(n) + 2."""
     report = VerifyReport("additive-recurrence", f"1<=n<={n_max}", 1 + 2 * n_max)
     with timed(report):
         sc = scanner if scanner is not None else FactorScanner(ternary_stream())
-        a = enumerated_additive_source(sc)
+        a = sc.additive_complexity
         if a(1) != 3:
             record_failure(report, f"a(1) = {a(1)}, expected 3")
         for n in range(1, n_max + 1):
@@ -68,7 +56,7 @@ def verify_kernel_affine(
         sc = scanner if scanner is not None else FactorScanner(ternary_stream())
         fn = additive_complexity_closed_form
         if cross_check_n:
-            scanned = enumerated_additive_source(sc)
+            scanned = sc.additive_complexity
             for n in range(1, cross_check_n + 1):
                 if fn(n) != scanned(n):
                     record_failure(

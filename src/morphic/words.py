@@ -136,7 +136,8 @@ class Word:
 
     def __post_init__(self) -> None:
         symbols = bytes(self.symbols)
-        if symbols and max(symbols) >= self.alphabet.size:
+        # deleting every valid symbol leaves only the out-of-range ones
+        if symbols.translate(None, bytes(range(self.alphabet.size))):
             raise WordDomainError("symbol out of range for alphabet")
         object.__setattr__(self, "symbols", symbols)
 
@@ -184,7 +185,7 @@ class Word:
             if coding.alphabet != self.alphabet:
                 raise WordDomainError("coding is over a different alphabet")
             values = coding.values
-        return sum(values[s] for s in self.symbols)
+        return sum(v * self.symbols.count(s) for s, v in enumerate(values))
 
 
 def tau(c: int, u: Word) -> Word:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_factors,
+    block_haystacks,
     block_power,
     brute_factors,
     brute_parikh_set,
@@ -99,6 +100,45 @@ def test_table_matches_block_oracle(case):
         sums = {sum(c * v for c, v in zip(p, values)) for p in vectors}
         got = (row.rho, row.rho_ab, row.rho_plus, row.ds_min, row.ds_max)
         assert got == (len(layer), len(vectors), len(sums), min(sums), max(sums)), n
+
+
+@st.composite
+def many_letter_morphisms(draw):
+    """Images over 2-16 letters of length 2-3, prolongable on letter 0."""
+    k = draw(st.integers(2, 16))
+    widths = [draw(st.integers(2, 3)) for _ in range(k)]
+    images = [bytearray(draw(st.lists(st.integers(0, k - 1), min_size=w, max_size=w))) for w in widths]
+    images[0][0] = 0
+    return tuple(bytes(im) for im in images)
+
+
+def haystack_parikh_set(images, n: int) -> set[tuple[int, ...]]:
+    vectors = set()
+    for hay in block_haystacks(images, 0, n):
+        vectors |= brute_parikh_set(hay, n, len(images))
+    return vectors
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(many_letter_morphisms(), st.integers(1, 20))
+def test_parikh_set_matches_block_haystacks(images, n):
+    # 16 letters in radix n + 1 pass 2**63 from n = 18 on
+    size = window_size(images, n)
+    assume(size is not None and size <= WINDOW_LIMIT)
+    assert FactorScanner(stream_of(images)).parikh_set(n) == haystack_parikh_set(images, n)
+
+
+def test_sixteen_letter_parikh_keys_do_not_wrap():
+    # At n = 31 the radix is 2**5 and 32**13 = 2**65: a key left to wrap
+    # modulo 2**64 drops the counts of letters 13 and 14, and 23 of the
+    # 139 vectors of this morphism would merge with others.
+    images = tuple(
+        bytes.fromhex(im)
+        for im in "000c 0607 00080b 0009 0b00 0d0b 030c09 020e0d 0a0001 0f0c 090c0b 040d02 0909 030c 020d01 0d00".split()
+    )
+    scanner = FactorScanner(stream_of(images))
+    for n in (18, 31):
+        assert scanner.parikh_set(n) == haystack_parikh_set(images, n), n
 
 
 def test_six_letter_morphism_has_54_factors_of_length_3():

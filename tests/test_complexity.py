@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_factors, brute_parikh_set
@@ -56,7 +58,10 @@ class TestFrozenValues:
 
 class TestProfile:
     @settings(deadline=None, max_examples=60)
-    @given(st.binary(min_size=1, max_size=60), st.integers(1, 12))
+    @given(st.binary(min_size=1, max_size=300), st.integers(1, 320))
+    # symbol values above the length, and a rank of 255 followed by another
+    @example(b"\x00\x02\x01\x06", 2)
+    @example(b"a\xffa", 3)
     def test_distinct_profile_matches_brute(self, data, n_max):
         got = distinct_substring_profile(np.frombuffer(data, dtype=np.uint8), n_max)
         expected = [len(brute_factors(data, n)) for n in range(1, n_max + 1)]
@@ -64,6 +69,17 @@ class TestProfile:
 
     def test_profile_empty_for_nonpositive(self):
         assert distinct_substring_profile(b"abc", 0).tolist() == []
+
+    def test_profile_memory_per_symbol(self, s3_scan):
+        window = s3_scan.window(256)
+        assert len(window) == 33534
+        tracemalloc.start()
+        try:
+            distinct_substring_profile(window, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * len(window)
 
 
 class TestScanner:

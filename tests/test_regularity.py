@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from morphic.regularity import (
     additive_complexity_closed_form,
-    enumerated_additive_source,
     verify_additive_recurrence,
     verify_kernel_affine,
 )
@@ -25,10 +24,9 @@ def test_closed_form_is_affine_under_indexing(e, c, n):
         assert lhs == additive_complexity_closed_form(n) + 2 * e
 
 
-def test_enumerated_source_matches_closed(tml_scan):
-    a = enumerated_additive_source(tml_scan)
+def test_scanned_additive_complexity_matches_closed(tml_scan):
     for n in (1, 2, 7, 30, 100):
-        assert a(n) == additive_complexity_closed_form(n)
+        assert tml_scan.additive_complexity(n) == additive_complexity_closed_form(n)
 
 
 def test_additive_recurrence(tml_scan):
