@@ -8,7 +8,6 @@ failure list certifies the range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -34,32 +33,26 @@ def floor_log2(n: int) -> int:
     return n.bit_length() - 1
 
 
-def _scanner(scanner: FactorScanner | None) -> FactorScanner:
-    return scanner if scanner is not None else FactorScanner(ternary_stream())
-
-
-def verify_additive_formula(n_max: int = 4096, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_additive_formula(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Additive complexity equals 2*floor(log2 n) + 3 on 1..n_max."""
     report = VerifyReport("theorem1", f"1<=n<={n_max}", n_max)
     with timed(report):
-        sc = _scanner(scanner)
         for n in range(1, n_max + 1):
             expected = 2 * floor_log2(n) + 3
-            got = sc.additive_complexity(n)
+            got = scanner.additive_complexity(n)
             if got != expected:
                 record_failure(report, f"n={n}: additive complexity {got}, expected {expected}")
     return report
 
 
-def verify_ds_bounds(n_max: int = 4096, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_ds_bounds(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Digit sums of length-n factors fill [n - k - 1, n + k + 1] exactly."""
     report = VerifyReport("ds-bounds", f"1<=n<={n_max}", n_max)
     with timed(report):
-        sc = _scanner(scanner)
         for n in range(1, n_max + 1):
             k = floor_log2(n)
             expected = frozenset(range(n - k - 1, n + k + 2))
-            got = sc.digit_sum_set(n)
+            got = scanner.digit_sum_set(n)
             if got != expected:
                 missing = sorted(expected - got)
                 extra = sorted(got - expected)
@@ -67,7 +60,7 @@ def verify_ds_bounds(n_max: int = 4096, scanner: FactorScanner | None = None) ->
     return report
 
 
-def verify_witnesses(n_max: int = 4096) -> VerifyReport:
+def verify_witnesses(n_max: int) -> VerifyReport:
     """Closed-form extremal factors: length, both digit sums, occurrence.
 
     For each n the assembled word must have length n, digit sum
@@ -101,7 +94,7 @@ def verify_witnesses(n_max: int = 4096) -> VerifyReport:
             if not is_factor(low):
                 record_failure(report, f"n={n}: low witness is not a factor")
             try:
-                witness_occurrence(n)
+                witness_occurrence(w)
             except RuntimeError:
                 hay = bytes(stream.array(min(stream.cap, 66 * n)))
                 where = hay.find(whole.symbols)
@@ -112,7 +105,7 @@ def verify_witnesses(n_max: int = 4096) -> VerifyReport:
     return report
 
 
-def verify_swap_reverse_commutation(n_max: int = 10, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_swap_reverse_commutation(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Substituting a swapped reversal matches swapping (one index down) the substituted reversal.
 
     For every factor u and swap index c: applying the substitution to
@@ -122,13 +115,12 @@ def verify_swap_reverse_commutation(n_max: int = 10, scanner: FactorScanner | No
     """
     report = VerifyReport("sigma-tau", f"factors of length 1..{n_max}, c in 0..2", 0)
     with timed(report):
-        sc = _scanner(scanner)
         m, _ = preset("tml")
         checked = 0
         plus_failures = 0
         for n in range(1, n_max + 1):
-            for b in sc.factor_index(n):
-                u = Word(sc.alphabet, b)
+            for b in scanner.factor_index(n):
+                u = Word(scanner.alphabet, b)
                 mu = m.apply(u)
                 for c in range(3):
                     checked += 1
@@ -145,7 +137,7 @@ def verify_swap_reverse_commutation(n_max: int = 10, scanner: FactorScanner | No
     return report
 
 
-def verify_mirror_closure(n_max: int = 10, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_mirror_closure(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Factors stay factors under any letter swap followed by reversal.
 
     Plain reversal does not preserve the factor set (110 is the
@@ -154,11 +146,10 @@ def verify_mirror_closure(n_max: int = 10, scanner: FactorScanner | None = None)
     """
     report = VerifyReport("mirror-closure", f"factors of length 1..{n_max}, c in 0..2", 0)
     with timed(report):
-        sc = _scanner(scanner)
         checked = 0
         for n in range(1, n_max + 1):
-            for b in sc.factor_index(n):
-                u = Word(sc.alphabet, b)
+            for b in scanner.factor_index(n):
+                u = Word(scanner.alphabet, b)
                 for c in range(3):
                     checked += 1
                     if not is_factor(tau(c, u).mirror()):
@@ -167,7 +158,7 @@ def verify_mirror_closure(n_max: int = 10, scanner: FactorScanner | None = None)
     return report
 
 
-def verify_surplus_balance_counts(l_max: int = 24) -> VerifyReport:
+def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
     """Letter-count balance of substitution powers of the two letter families.
 
     The l-th power of surplus_letter(l) carries exactly one more 2 than
@@ -200,7 +191,7 @@ def verify_surplus_balance_counts(l_max: int = 24) -> VerifyReport:
     return report
 
 
-def verify_witness_affixes(n_max: int = 4096) -> VerifyReport:
+def verify_witness_affixes(n_max: int) -> VerifyReport:
     """Witness halves align with substitution powers of single letters.
 
     With k = floor(log2 n): for even k the left half is a suffix of
@@ -242,7 +233,7 @@ def _tech_pair(ub: bytes, i: int, vb: bytes, j: int) -> bool:
     return False
 
 
-def verify_shift_gain_exhaustive(scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_shift_gain_exhaustive(scanner: FactorScanner) -> VerifyReport:
     """Exhaustive anchored-shift sweep over all expanded length-3 factors.
 
     Expand each length-3 factor through six substitution steps (192
@@ -253,8 +244,7 @@ def verify_shift_gain_exhaustive(scanner: FactorScanner | None = None) -> Verify
     """
     report = VerifyReport("tech-lemma", "|u|=|v|=3, 64<=i,j<128", 0)
     with timed(report):
-        sc = _scanner(scanner)
-        expansions = [b"".join(sigma_power_bytes(s, 6) for s in u) for u in sc.factor_index(3)]
+        expansions = [b"".join(sigma_power_bytes(s, 6) for s in u) for u in scanner.factor_index(3)]
         a_anchors = [(e, i) for e in expansions for i in range(64, 128) if e[i] == 0]
         b_anchors = [(e, j) for e in expansions for j in range(64, 128) if e[j] == 2]
         for ub, i in a_anchors:
@@ -265,7 +255,7 @@ def verify_shift_gain_exhaustive(scanner: FactorScanner | None = None) -> Verify
     return report
 
 
-def verify_halving_inequality(n_max: int = 64, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_halving_inequality(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Letter-count disparities track the half-length factor set.
 
     Each length-n factor's three pairwise count differences lie within
@@ -275,15 +265,14 @@ def verify_halving_inequality(n_max: int = 64, scanner: FactorScanner | None = N
     """
     report = VerifyReport("halving", f"1<=n<={n_max}", 0)
     with timed(report):
-        sc = _scanner(scanner)
         checked = 0
         for n in range(1, n_max + 1):
             half = n // 2
-            halves = sc.parikh_set(half) if half >= 1 else frozenset({(0, 0, 0)})
+            halves = scanner.parikh_set(half) if half >= 1 else frozenset({(0, 0, 0)})
             s1 = {x[1] - x[0] for x in halves}
             s2 = {x[1] - x[2] for x in halves}
             s3 = {x[0] - x[2] for x in halves}
-            for u in sc.parikh_set(n):
+            for u in scanner.parikh_set(n):
                 targets = ((u[2] - u[0], s1), (u[1] - u[0], s2), (u[1] - u[2], s3))
                 for part, (value, source) in enumerate(targets, start=1):
                     checked += 1
@@ -293,7 +282,7 @@ def verify_halving_inequality(n_max: int = 64, scanner: FactorScanner | None = N
     return report
 
 
-def verify_interior_sums_small(n_max: int = 128, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_interior_sums_small(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Digit sums of length-n factors form a gap-free range, n <= n_max.
 
     Enumerates factors directly from the shortest prefix known to
@@ -302,11 +291,10 @@ def verify_interior_sums_small(n_max: int = 128, scanner: FactorScanner | None =
     """
     report = VerifyReport("ivp-small", f"1<=n<={n_max}", 0)
     with timed(report):
-        sc = _scanner(scanner)
         checked = 0
         for n in range(1, n_max + 1):
-            r = sc.recurrence_index(n)
-            data = bytes(sc.stream.array(r))
+            r = scanner.recurrence_index(n)
+            data = bytes(scanner.stream.array(r))
             cs = [0, *accumulate(data)]
             sums = {cs[i + n] - cs[i] for i in range(r - n + 1)}
             k = floor_log2(n)
@@ -314,13 +302,13 @@ def verify_interior_sums_small(n_max: int = 128, scanner: FactorScanner | None =
             checked += len(expected)
             if sums != expected:
                 record_failure(report, f"n={n}: attained {sorted(sums)}, expected the range {n - k - 1}..{n + k + 1}")
-            if frozenset(sums) != sc.digit_sum_set(n):
+            if frozenset(sums) != scanner.digit_sum_set(n):
                 record_failure(report, f"n={n}: prefix route disagrees with windowed route")
         report.tuples_checked = checked
     return report
 
 
-def verify_subword_recurrence(n_max: int = 256, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_subword_recurrence(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Factor counts: 3 and 9 at lengths 1 and 2, then the doubling relations.
 
     For n >= 3: count(2n) = count(n) + count(n+1) and
@@ -328,8 +316,7 @@ def verify_subword_recurrence(n_max: int = 256, scanner: FactorScanner | None = 
     """
     report = VerifyReport("subword-recurrence", f"3<=n<={n_max} plus base cases", 0)
     with timed(report):
-        sc = _scanner(scanner)
-        profile = sc.distinct_profile(2 * n_max + 1)
+        profile = scanner.distinct_profile(2 * n_max + 1)
 
         def rho(n: int) -> int:
             return int(profile[n - 1])
@@ -348,61 +335,3 @@ def verify_subword_recurrence(n_max: int = 256, scanner: FactorScanner | None = 
         report.tuples_checked = checked
     return report
 
-
-def window_sums(stream, n: int, j_from: int, j_to: int) -> np.ndarray:
-    """Digit sums of the length-n windows starting at j_from..j_to-1."""
-    if n < 1 or j_from < 0 or j_to <= j_from:
-        raise WordDomainError("need n >= 1 and 0 <= j_from < j_to")
-    arr = stream.array(j_to - 1 + n)
-    values = np.array(stream.alphabet.letters, dtype=np.int64)
-    cs = np.concatenate(([0], np.cumsum(values[arr])))
-    return cs[j_from + n : j_to + n] - cs[j_from:j_to]
-
-
-@dataclass(frozen=True)
-class ShiftScan:
-    """First later window whose digit sum exceeds the starting one."""
-
-    n: int
-    i: int
-    start_sum: int
-    r: int
-    jump: int
-
-
-def shift_scan(u: Word, i: int, stream=None) -> ShiftScan:
-    """Scan right from an occurrence of u for the first larger window sum.
-
-    Verifies on the way that the sum first exceeds the start by 1 or 2,
-    and that an excess of 2 is only reached from a window tied with the
-    start; either property failing raises RuntimeError.
-    """
-    if stream is None:
-        stream = ternary_stream()
-    n = len(u)
-    if n == 0:
-        raise WordDomainError("need a non-empty word")
-    occ = bytes(stream.array(i + n)[i : i + n])
-    if occ != u.symbols:
-        raise WordDomainError(f"word does not occur at position {i}")
-    start = u.digit_sum()
-    ceiling = witness(n).target_digit_sum
-    if start >= ceiling:
-        raise WordDomainError("digit sum is already maximal; no later window exceeds it")
-    j = i + 1
-    chunk = max(4096, 64 * n)  # batches the scan; the result does not depend on it
-    while True:
-        sums = window_sums(stream, n, j, j + chunk)
-        hits = np.nonzero(sums > start)[0]
-        if len(hits):
-            r = j + int(hits[0])
-            break
-        j += chunk
-    jump = int(window_sums(stream, n, r, r + 1)[0]) - start
-    if jump not in (1, 2):
-        raise RuntimeError(f"first exceeding window at {r} jumps by {jump}")
-    if jump == 2:
-        prev = int(window_sums(stream, n, r - 1, r)[0])
-        if prev != start:
-            raise RuntimeError(f"jump of 2 at {r} not preceded by a tie (prev {prev}, start {start})")
-    return ShiftScan(n=n, i=i, start_sum=start, r=r, jump=jump)

@@ -132,7 +132,7 @@ def cmd_witness(args) -> int:
             "left": str(w.left),
             "right": str(w.right),
             "digit_sum": w.target_digit_sum,
-            "occurrence_index": witness_occurrence(w.n),
+            "occurrence_index": witness_occurrence(w),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
@@ -172,13 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[output], help="run a named check, or all of them")
     p.add_argument("check", choices=(*ALL_CHECK_NAMES, "all"))
     p.add_argument("--n-max", type=int, metavar="N", help="override the check's default range")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("ivp", parents=[source, output], help="gap census of attainable digit sums")
     p.add_argument("--n-from", type=int, default=3, metavar="A")
     p.add_argument("--n-to", type=int, default=300, metavar="B")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(fn=cmd_ivp)
 
     p = sub.add_parser("witness", parents=[output], help="maximal-digit-sum factor of one length")

@@ -285,13 +285,6 @@ class FactorScanner:
     def abelian_complexity(self, n: int) -> int:
         return len(self.parikh_set(n))
 
-    def evenness(self, n: int) -> int:
-        """Largest letter-count disparity over length-n factors.
-
-        max over factors u and letter pairs (a, b) of |u|_a - |u|_b.
-        """
-        return max(max(v) - min(v) for v in self.parikh_set(n))
-
     def distinct_profile(self, n_max: int) -> np.ndarray:
         """rho(1..n_max) as an array; cached and extended on demand.
 
@@ -396,6 +389,7 @@ def build_complexity_table(
                 rho_plus=len(ds),
                 ds_min=min(ds),
                 ds_max=max(ds),
+                # the largest |u|_a - |u|_b over length-n factors u and letters a, b
                 evenness=max(max(v) - min(v) for v in pset),
             )
         )

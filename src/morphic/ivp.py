@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import FactorScanner
-from .morphisms import DEFAULT_LENGTH_CAP, FixedPointStream, preset
+from .morphisms import FixedPointStream, preset
 from .reports import VerifyReport, record_failure, timed
 from .words import Coding, ResourceLimitError, WordDomainError
 
@@ -29,9 +29,9 @@ PREDICTED_OFFSETS: dict[int, tuple[tuple[int, int, int], ...]] = {
 }
 
 
-def sigma3_stream(cap: int = DEFAULT_LENGTH_CAP) -> FixedPointStream:
+def sigma3_stream() -> FixedPointStream:
     m, seed = preset("sigma3")
-    return FixedPointStream(m, seed, cap)
+    return FixedPointStream(m, seed)
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,13 @@ def predicted_coded_ds_set(values: tuple[int, int, int], n: int) -> frozenset[in
     return frozenset(base + a * x + b * y + c * z for a, b, c in pred.offsets)
 
 
-def verify_parikh_prediction(
-    n_from: int = 3, n_to: int = 300, scanner: FactorScanner | None = None
-) -> VerifyReport:
-    """Scanned letter-count vectors equal the offset-family prediction."""
-    report = VerifyReport("prop4", f"{n_from}<=n<={n_to}", max(0, n_to - n_from + 1))
+def verify_parikh_prediction(n_to: int, scanner: FactorScanner) -> VerifyReport:
+    """Scanned letter-count vectors equal the offset-family prediction, 3 <= n <= n_to."""
+    report = VerifyReport("prop4", f"3<=n<={n_to}", max(0, n_to - 2))
     with timed(report):
-        sc = scanner if scanner is not None else FactorScanner(sigma3_stream())
-        for n in range(n_from, n_to + 1):
+        for n in range(3, n_to + 1):
             predicted = predicted_parikh_set(n).vectors()
-            got = sc.parikh_set(n)
+            got = scanner.parikh_set(n)
             if got != predicted:
                 record_failure(
                     report,
@@ -84,22 +81,20 @@ def verify_parikh_prediction(
     return report
 
 
-def check_ivp(stream: FixedPointStream, coding, n_from: int = 3, n_to: int = 300) -> VerifyReport:
+def check_ivp(stream: FixedPointStream, coding: Coding | None, n_from: int, n_to: int) -> VerifyReport:
     """Which lengths leave holes between the least and greatest digit sum.
 
-    ``coding`` is a Coding or a value tuple over the stream's alphabet;
-    None sums the letter values.  A length n is gapped when some value
-    strictly between the attained minimum and maximum is attained by no
-    factor of that length; ``gaps`` lists every such value, so the
-    census stops with ResourceLimitError before it would check more
-    than CENSUS_CAP values.
+    ``coding`` is over the stream's alphabet; None sums the letter
+    values.  A length n is gapped when some value strictly between the
+    attained minimum and maximum is attained by no factor of that
+    length; ``gaps`` lists every such value, so the census stops with
+    ResourceLimitError before it would check more than CENSUS_CAP
+    values.
     """
     if n_from < 1 or n_to < n_from:
         raise WordDomainError("need 1 <= n_from <= n_to")
     if coding is None:
         coding = Coding.identity(stream.alphabet)
-    elif not isinstance(coding, Coding):
-        coding = Coding(stream.alphabet, tuple(coding))
     sc = FactorScanner(stream, coding)
     values = ",".join(map(str, coding.values))
     report = VerifyReport("ivp", f"coding {values}; {n_from}<=n<={n_to}", 0, gaps={})
@@ -122,9 +117,7 @@ def check_ivp(stream: FixedPointStream, coding, n_from: int = 3, n_to: int = 300
     return report
 
 
-def verify_coding_grid(
-    n_max: int = 120, v_max: int = 5, stream: FixedPointStream | None = None
-) -> VerifyReport:
+def verify_coding_grid(n_max: int, v_max: int) -> VerifyReport:
     """Sweep strictly increasing codings: gap-free exactly for runs x, x+1, x+2.
 
     For every coding 0 <= x < y < z <= v_max, scan lengths 3..n_max.
@@ -134,8 +127,7 @@ def verify_coding_grid(
     """
     report = VerifyReport("coding-grid", f"0<=x<y<z<={v_max}, 3<=n<={n_max}", 0)
     with timed(report):
-        if stream is None:
-            stream = sigma3_stream()
+        stream = sigma3_stream()
         checked = 0
         for x in range(v_max + 1):
             for y in range(x + 1, v_max + 1):

@@ -172,12 +172,6 @@ class FixedPointStream:
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, bytes(self.array(n)))
 
-    def letter(self, i: int) -> int:
-        if i < 0:
-            raise WordDomainError(f"letter index {i} is negative")
-        self.ensure(i + 1)
-        return int(self._buf[i])
-
 
 def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
     """First n letters via vectorized digit-path evaluation.

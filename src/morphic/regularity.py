@@ -11,8 +11,12 @@ from __future__ import annotations
 
 from .complexity import FactorScanner
 from .reports import VerifyReport, record_failure, timed
-from .witnesses import ternary_stream
 from .words import WordDomainError
+
+# Largest power e of the swept subsequences a(2^e n + c).
+KERNEL_E_MAX = 6
+# The closed form is cross-checked against window scans on 1..CROSS_CHECK_N.
+CROSS_CHECK_N = 512
 
 
 def additive_complexity_closed_form(n: int) -> int:
@@ -22,12 +26,11 @@ def additive_complexity_closed_form(n: int) -> int:
     return 2 * (n.bit_length() - 1) + 3
 
 
-def verify_additive_recurrence(n_max: int = 256, scanner: FactorScanner | None = None) -> VerifyReport:
+def verify_additive_recurrence(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Scanned counts satisfy a(1) = 3 and a(2n) = a(2n+1) = a(n) + 2."""
     report = VerifyReport("additive-recurrence", f"1<=n<={n_max}", 1 + 2 * n_max)
     with timed(report):
-        sc = scanner if scanner is not None else FactorScanner(ternary_stream())
-        a = sc.additive_complexity
+        a = scanner.additive_complexity
         if a(1) != 3:
             record_failure(report, f"a(1) = {a(1)}, expected 3")
         for n in range(1, n_max + 1):
@@ -38,33 +41,26 @@ def verify_additive_recurrence(n_max: int = 256, scanner: FactorScanner | None =
     return report
 
 
-def verify_kernel_affine(
-    e_max: int = 6,
-    T: int = 256,
-    scanner: FactorScanner | None = None,
-    cross_check_n: int = 512,
-) -> VerifyReport:
-    """Every subsequence a(2^e n + c) equals a(n) + 2e, term by term.
+def verify_kernel_affine(T: int, scanner: FactorScanner) -> VerifyReport:
+    """Every subsequence a(2^e n + c), e <= KERNEL_E_MAX, equals a(n) + 2e, term by term.
 
     The sweep runs on the closed form, which is first cross-checked
-    against window scans on 1..cross_check_n, so it never rests on the
+    against window scans on 1..CROSS_CHECK_N, so it never rests on the
     formula alone.
     """
-    elements = sum(1 << e for e in range(e_max + 1))
-    report = VerifyReport("kernel", f"e<={e_max}, 1<=n<={T}", elements * T)
+    elements = sum(1 << e for e in range(KERNEL_E_MAX + 1))
+    report = VerifyReport("kernel", f"e<={KERNEL_E_MAX}, 1<=n<={T}", elements * T)
     with timed(report):
-        sc = scanner if scanner is not None else FactorScanner(ternary_stream())
         fn = additive_complexity_closed_form
-        if cross_check_n:
-            scanned = sc.additive_complexity
-            for n in range(1, cross_check_n + 1):
-                if fn(n) != scanned(n):
-                    record_failure(
-                        report, f"closed form disagrees with scan at n={n}: {fn(n)} vs {scanned(n)}"
-                    )
-            report.notes.append(f"closed form cross-checked against scans on 1<=n<={cross_check_n}")
+        scanned = scanner.additive_complexity
+        for n in range(1, CROSS_CHECK_N + 1):
+            if fn(n) != scanned(n):
+                record_failure(
+                    report, f"closed form disagrees with scan at n={n}: {fn(n)} vs {scanned(n)}"
+                )
+        report.notes.append(f"closed form cross-checked against scans on 1<=n<={CROSS_CHECK_N}")
         distinct = set()
-        for e in range(e_max + 1):
+        for e in range(KERNEL_E_MAX + 1):
             for c in range(1 << e):
                 probe = []
                 for n in range(1, T + 1):

@@ -1,16 +1,18 @@
 """Named registry of all verification checks with their default ranges.
 
-The names here are the stable command-line tokens.  Defaults are the
-ranges the test suite certifies; passing a larger n_max extends a
-sweep, a smaller one shortens it.  For checks whose natural knob is
-not a factor length, n_max maps onto that knob (power height for
-dc-counts, sample length for kernel); tech-lemma has a fixed
-exhaustive domain and ignores n_max.
+The names here are the stable command-line tokens.  The registry is the
+one place that knows each check's default range and which scanner it
+runs on; the check functions themselves take every argument
+explicitly.  Defaults are the ranges the test suite certifies; passing
+a larger n_max extends a sweep, a smaller one shortens it.  For checks
+whose natural knob is not a factor length, n_max maps onto that knob
+(power height for dc-counts, sample length for kernel); tech-lemma has
+a fixed exhaustive domain and rejects n_max.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import checks, ivp, regularity
 from .complexity import FactorScanner
@@ -20,26 +22,21 @@ from .witnesses import ternary_stream
 from .words import WordDomainError
 
 
-@dataclass
 class SuiteContext:
-    """Shared scanners for one batch of checks."""
+    """Shared scanners for one batch of checks, each built on first use."""
 
-    _tml: FactorScanner | None = field(default=None, repr=False)
-    _sigma3: FactorScanner | None = field(default=None, repr=False)
-
-    @property
+    @cached_property
     def tml(self) -> FactorScanner:
-        if self._tml is None:
-            self._tml = FactorScanner(ternary_stream())
-        return self._tml
+        return FactorScanner(ternary_stream())
 
-    @property
+    @cached_property
     def sigma3(self) -> FactorScanner:
-        if self._sigma3 is None:
-            self._sigma3 = FactorScanner(sigma3_stream())
-        return self._sigma3
+        return FactorScanner(sigma3_stream())
 
 
+# name -> (default range, runner).  A runner looks its check up on the
+# check's module at call time, so a patched module attribute is the one
+# that runs.
 _REGISTRY = {
     "theorem1": (4096, lambda ctx, n: checks.verify_additive_formula(n, ctx.tml)),
     "ds-bounds": (4096, lambda ctx, n: checks.verify_ds_bounds(n, ctx.tml)),
@@ -51,8 +48,8 @@ _REGISTRY = {
     "tech-lemma": (None, lambda ctx, n: checks.verify_shift_gain_exhaustive(ctx.tml)),
     "ivp-small": (128, lambda ctx, n: checks.verify_interior_sums_small(n, ctx.tml)),
     "additive-recurrence": (256, lambda ctx, n: regularity.verify_additive_recurrence(n, ctx.tml)),
-    "kernel": (256, lambda ctx, n: regularity.verify_kernel_affine(e_max=6, T=n, scanner=ctx.tml)),
-    "prop4": (300, lambda ctx, n: ivp.verify_parikh_prediction(3, n, ctx.sigma3)),
+    "kernel": (256, lambda ctx, n: regularity.verify_kernel_affine(n, ctx.tml)),
+    "prop4": (300, lambda ctx, n: ivp.verify_parikh_prediction(n, ctx.sigma3)),
     "subword-recurrence": (256, lambda ctx, n: checks.verify_subword_recurrence(n, ctx.tml)),
 }
 
@@ -60,13 +57,17 @@ ALL_CHECK_NAMES = tuple(_REGISTRY)
 
 
 def run_check(name: str, n_max: int | None = None, context: SuiteContext | None = None) -> VerifyReport:
+    """Run one registered check, at its default range unless n_max is given."""
     if name not in _REGISTRY:
         raise WordDomainError(
             f"unknown check {name!r}; available: {', '.join(ALL_CHECK_NAMES)}"
         )
-    if n_max is not None and n_max < 1:
-        raise WordDomainError(f"n_max must be at least 1, got {n_max}")
     default_n, runner = _REGISTRY[name]
+    if n_max is not None:
+        if default_n is None:
+            raise WordDomainError(f"check {name!r} has a fixed domain and takes no n_max")
+        if n_max < 1:
+            raise WordDomainError(f"n_max must be at least 1, got {n_max}")
     if context is None:
         context = SuiteContext()
     return runner(context, n_max if n_max is not None else default_n)

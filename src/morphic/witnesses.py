@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .morphisms import DEFAULT_LENGTH_CAP, FixedPointStream, preset
+from .morphisms import FixedPointStream, preset
 from .words import Word, WordDomainError, ternary_alphabet
 
 _IMAGES = (bytes((0, 1)), bytes((1, 2)), bytes((2, 0)))
@@ -54,10 +54,10 @@ def sigma_power_bytes(letter: int, e: int) -> bytes:
     return b"".join(_IMAGES[s] for s in prev)
 
 
-def ternary_stream(cap: int = DEFAULT_LENGTH_CAP) -> FixedPointStream:
+def ternary_stream() -> FixedPointStream:
     """Fresh stream of the doubling fixed point 0112122012202001..."""
     m, seed = preset("tml")
-    return FixedPointStream(m, seed, cap)
+    return FixedPointStream(m, seed)
 
 
 @dataclass(frozen=True)
@@ -149,20 +149,18 @@ def decomposition_haystack(k: int) -> bytes:
     )
 
 
-def witness_occurrence(n: int) -> int:
-    """Index of the length-n witness inside its occurrence context.
+def witness_occurrence(w: WitnessDecomposition) -> int:
+    """Index of the witness inside its occurrence context.
 
     For n = 1 the context is the first letters of the stream itself.
     Raises if the witness does not occur, which would falsify the
     whole construction.
     """
-    w = witness(n)
-    needle = w.whole.symbols
-    if n == 1:
+    if w.n == 1:
         hay = bytes(ternary_stream().array(8))
     else:
         hay = decomposition_haystack(w.k)
-    idx = hay.find(needle)
+    idx = hay.find(w.whole.symbols)
     if idx < 0:
-        raise RuntimeError(f"witness of length {n} missing from its occurrence context")
+        raise RuntimeError(f"witness of length {w.n} missing from its occurrence context")
     return idx

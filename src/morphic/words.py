@@ -167,9 +167,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({self})"
 
-    def letters(self) -> tuple[int, ...]:
-        return tuple(self.alphabet.letters[s] for s in self.symbols)
-
     def mirror(self) -> "Word":
         return Word(self.alphabet, self.symbols[::-1])
 

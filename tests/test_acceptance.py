@@ -30,6 +30,7 @@ from morphic.ivp import (
 from morphic.morphisms import automatic_prefix, preset
 from morphic.regularity import verify_additive_recurrence, verify_kernel_affine
 from morphic.witnesses import ternary_stream
+from morphic.words import Coding
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ def test_criterion_06_subword_recurrence(capsys, tml_acc):
 def test_criterion_07_regular_structure(capsys, tml_acc):
     rec = verify_additive_recurrence(256, scanner=tml_acc)
     assert rec.passed, rec.failures[:5]
-    ker = verify_kernel_affine(e_max=6, T=256, scanner=tml_acc)
+    ker = verify_kernel_affine(256, scanner=tml_acc)
     assert ker.passed, ker.failures[:5]
     announce(capsys, 7, "additive recurrence and affine kernel under index doubling")
 
@@ -108,17 +109,18 @@ def test_criterion_08_symmetry_toolkit(capsys, tml_acc):
 
 
 def test_criterion_09_rotation_word_structure(capsys, s3_acc):
-    pred = verify_parikh_prediction(3, 300, scanner=s3_acc)
+    pred = verify_parikh_prediction(300, scanner=s3_acc)
     assert pred.passed, pred.failures[:5]
 
     for n in range(3, 301):
         expected = 7 if n % 3 == 0 else 6
         assert s3_acc.abelian_complexity(n) == expected, n
 
-    flat = check_ivp(s3_acc.stream, (0, 1, 2), 3, 300)
+    flat = check_ivp(s3_acc.stream, Coding(s3_acc.alphabet, (0, 1, 2)), 3, 300)
     assert flat.passed and flat.gaps == {}
 
-    skewed = check_ivp(sigma3_stream(), (0, 1, 3), 3, 300)
+    s3 = sigma3_stream()
+    skewed = check_ivp(s3, Coding(s3.alphabet, (0, 1, 3)), 3, 300)
     assert not skewed.passed
     for m in range(1, 100):
         n = 3 * m + 1

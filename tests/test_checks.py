@@ -1,12 +1,8 @@
-import numpy as np
 import pytest
 
 import morphic.checks as checks
 from morphic.complexity import FactorScanner
-from morphic.witnesses import witness
-from morphic.words import Word, WordDomainError, ternary_alphabet
-
-TERN = ternary_alphabet()
+from morphic.words import WordDomainError
 
 
 @pytest.fixture(scope="module")
@@ -74,55 +70,3 @@ class TestVerifiers:
         rep = checks.verify_subword_recurrence(64, scan)
         assert rep.passed and rep.tuples_checked == 2 + 2 * 62
 
-
-class TestShiftScan:
-    def test_single_letter(self, tml):
-        s = checks.shift_scan(tml.prefix(1), 0, tml)
-        assert (s.r, s.jump) == (1, 1)
-        assert s.start_sum == 0
-
-    def test_two_letters(self, tml):
-        s = checks.shift_scan(tml.prefix(2), 0, tml)
-        assert s.r == 1 and s.jump == 1
-
-    def test_rejects_wrong_position(self, tml):
-        with pytest.raises(WordDomainError):
-            checks.shift_scan(Word.from_text(TERN, "22"), 0, tml)
-
-    def test_rejects_maximal_sum(self, tml):
-        w = witness(4).whole
-        i = bytes(tml.array(64)).find(w.symbols)
-        assert i >= 0
-        with pytest.raises(WordDomainError):
-            checks.shift_scan(w, i, tml)
-
-    def test_rejects_empty(self, tml):
-        with pytest.raises(WordDomainError):
-            checks.shift_scan(Word(TERN), 0, tml)
-
-    def test_jump_invariants_hold_broadly(self, tml):
-        # every completed scan passed the internal jump checks; both jump
-        # sizes should be represented
-        seen = set()
-        data = bytes(tml.array(512))
-        for n in (1, 2, 3, 5):
-            ceiling = n + n.bit_length()
-            for i in range(0, 256, 7):
-                u = Word(TERN, data[i : i + n])
-                if u.digit_sum() >= ceiling:
-                    continue
-                s = checks.shift_scan(u, i, tml)
-                assert s.r > i
-                seen.add(s.jump)
-        assert seen == {1, 2}
-
-    def test_window_sums_match_slices(self, tml):
-        g = checks.window_sums(tml, 3, 5, 15)
-        data = tml.array(18).tolist()
-        assert g.tolist() == [sum(data[j : j + 3]) for j in range(5, 15)]
-
-    def test_window_sums_validates(self, tml):
-        with pytest.raises(WordDomainError):
-            checks.window_sums(tml, 0, 0, 5)
-        with pytest.raises(WordDomainError):
-            checks.window_sums(tml, 2, 5, 5)

@@ -180,6 +180,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "all", "--n-max", "5")
         assert code == 2 and "morphic:" in err
 
+    def test_fixed_domain_check_rejects_n_max(self, capsys):
+        code, out, err = run(capsys, "verify", "tech-lemma", "--n-max", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("morphic: ") and "tech-lemma" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["verify", "dc-counts"], ["ivp", "--n-to", "4"]])
+    def test_format_flag_is_gone(self, capsys, argv):
+        assert main([*argv, "--format", "json"]) == 2
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rep.json"
         code, out, _ = run(

@@ -39,7 +39,8 @@ class TestFrozenValues:
             assert tml_scan.digit_sum_set(n) == frozenset(range(n - k - 1, n + k + 2))
 
     def test_evenness(self, tml_scan):
-        assert [tml_scan.evenness(n) for n in range(1, 17)] == EVENNESS_FIRST_16
+        rows = build_complexity_table(tml_scan.stream, 1, 16).rows
+        assert [r.evenness for r in rows] == EVENNESS_FIRST_16
 
     def test_recurrence_index(self, tml_scan):
         assert [tml_scan.recurrence_index(n) for n in range(1, 13)] == RECURRENCE_FIRST_12
@@ -126,7 +127,7 @@ class TestScanner:
         assert sc.subword_complexity(5) == 1
         assert sc.abelian_complexity(5) == 1
         assert sc.additive_complexity(5) == 1
-        assert sc.evenness(5) == 5
+        assert build_complexity_table(sc.stream, 5, 5).rows[0].evenness == 5
         assert sc.recurrence_index(5) == 5
 
 

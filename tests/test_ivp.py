@@ -37,20 +37,20 @@ class TestOffsetFamily:
             assert s3_scan.parikh_set(n) == predicted_parikh_set(n).vectors()
 
     def test_verify_parikh_prediction(self, s3_scan):
-        rep = verify_parikh_prediction(3, 90, s3_scan)
+        rep = verify_parikh_prediction(90, s3_scan)
         assert rep.passed and rep.tuples_checked == 88
 
 
 class TestCodedSums:
     def test_identity_coding_has_no_gaps(self, s3):
-        rep = check_ivp(s3, (0, 1, 2), 3, 60)
+        rep = check_ivp(s3, Coding(s3.alphabet, (0, 1, 2)), 3, 60)
         assert rep.passed
         assert rep.failures == [] and rep.gaps == {}
         # no coding sums the letter values, here the same identity coding
         assert check_ivp(s3, None, 3, 60).gaps == {}
 
     def test_spread_coding_gap_structure(self, s3):
-        rep = check_ivp(s3, (0, 1, 3), 3, 61)
+        rep = check_ivp(s3, Coding(s3.alphabet, (0, 1, 3)), 3, 61)
         assert not rep.passed
         for n in range(3, 62):
             m, r = divmod(n, 3)
@@ -67,7 +67,7 @@ class TestCodedSums:
             assert sc.digit_sum_set(n) == predicted_coded_ds_set((0, 1, 3), n)
 
     def test_report_dict_shape(self, s3):
-        d = check_ivp(s3, (0, 1, 3), 3, 7).to_dict()
+        d = check_ivp(s3, Coding(s3.alphabet, (0, 1, 3)), 3, 7).to_dict()
         assert d["check"] == "ivp"
         assert d["range"] == "coding 0,1,3; 3<=n<=7"
         assert d["gaps"] == {"4": [3], "5": [9], "7": [7]}
@@ -75,11 +75,11 @@ class TestCodedSums:
 
     def test_census_cap(self, s3):
         with pytest.raises(ResourceLimitError, match="gap census"):
-            check_ivp(s3, (0, 1, CENSUS_CAP), 1, 2)
+            check_ivp(s3, Coding(s3.alphabet, (0, 1, CENSUS_CAP)), 1, 2)
 
     def test_range_validation(self, s3):
         with pytest.raises(WordDomainError):
-            check_ivp(s3, (0, 1, 2), 5, 4)
+            check_ivp(s3, Coding(s3.alphabet, (0, 1, 2)), 5, 4)
 
 
 class TestCodingGrid:

@@ -35,9 +35,9 @@ def test_additive_recurrence(tml_scan):
 
 
 def test_kernel_affine(tml_scan):
-    rep = verify_kernel_affine(e_max=3, T=24, scanner=tml_scan, cross_check_n=128)
+    rep = verify_kernel_affine(24, tml_scan)
     assert rep.passed
-    assert rep.tuples_checked == 15 * 24
+    assert rep.tuples_checked == 127 * 24
     assert any("cross-checked" in note for note in rep.notes)
-    assert any("15 subsequences, 4 distinct" in note for note in rep.notes)
+    assert any("127 subsequences, 7 distinct" in note for note in rep.notes)
 

@@ -79,7 +79,7 @@ class TestWitness:
 
     def test_occurrence_in_context(self):
         for n in range(1, 513):
-            assert witness_occurrence(n) >= 0
+            assert witness_occurrence(witness(n)) >= 0
 
     def test_witness_found_in_stream_prefix(self):
         hay = bytes(ternary_stream().array(64))

@@ -112,7 +112,7 @@ class TestOps:
     @given(ternary_words, st.integers(0, 2))
     def test_tau_involution_and_fixed_letter(self, w, c):
         assert tau(c, tau(c, w)) == w
-        fixed = [x for x, y in zip(w.letters(), tau(c, w).letters()) if x == c]
+        fixed = [x for x, y in zip(w.symbols, tau(c, w).symbols) if x == c]
         assert all(x == c for x in fixed)
 
     @given(ternary_words, st.integers(0, 2))
