@@ -13,9 +13,10 @@ from itertools import accumulate
 import numpy as np
 
 from .complexity import FactorScanner
-from .morphisms import preset
+from .morphisms import FixedPointStream, preset
 from .reports import VerifyReport, record_failure, timed
 from .witnesses import (
+    WITNESS_CAP,
     balanced_letter,
     is_factor,
     sigma_power_bytes,
@@ -69,6 +70,8 @@ def verify_witnesses(n_max: int) -> VerifyReport:
     factor with digit sum n - k - 1, pinning the attainable range from
     both ends.
     """
+    if n_max > WITNESS_CAP:
+        raise ResourceLimitError(f"witnesses beyond {WITNESS_CAP} symbols; lower n_max")
     report = VerifyReport("witness", f"1<=n<={n_max}", n_max)
     with timed(report):
         stream = ternary_stream()
@@ -163,31 +166,36 @@ def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
 
     The l-th power of surplus_letter(l) carries exactly one more 2 than
     0; the l-th power of balanced_letter(l) carries equally many.  Two
-    routes must agree: direct generation with letter counting, and an
-    exact integer power of the per-letter incidence matrix.
+    routes must agree: letter counting on sigma^l(x), which is the
+    length-2^l prefix of the fixed point on x since the substitution is
+    prolongable on every letter, and an exact integer power of the
+    per-letter incidence matrix.
     """
     if l_max > 26:
         raise ResourceLimitError("powers beyond 2^26 symbols; lower l_max")
     report = VerifyReport("dc-counts", f"0<=l<={l_max}", 2 * (l_max + 1))
     with timed(report):
-        imat = np.array([(0, 1), (1, 2), (2, 0)], dtype=np.uint8)
+        m, _ = preset("tml")
         incidence = ((1, 0, 1), (1, 1, 0), (0, 1, 1))
         power = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+        sweeps = {letter: [] for letter in range(3)}  # letter -> [(l, expected, matrix route)]
         for l in range(l_max + 1):
             for letter, expected in ((surplus_letter(l), 1), (balanced_letter(l), 0)):
-                exact = power[2][letter] - power[0][letter]
-                arr = np.array([letter], dtype=np.uint8)
-                for _ in range(l):
-                    arr = imat[arr].reshape(-1)
-                counted = int((arr == 2).sum()) - int((arr == 0).sum())
-                if counted != expected:
-                    record_failure(report, f"l={l}, letter={letter}: counted diff {counted}, expected {expected}")
-                if exact != counted:
-                    record_failure(report, f"l={l}, letter={letter}: matrix route {exact} != counting route {counted}")
+                sweeps[letter].append((l, expected, power[2][letter] - power[0][letter]))
             power = [
                 [sum(incidence[i][t] * power[t][j] for t in range(3)) for j in range(3)]
                 for i in range(3)
             ]
+        # letters outermost, so that one stream's long prefix is alive at a time
+        for letter, sweep in sweeps.items():
+            stream = FixedPointStream(m, letter)
+            for l, expected, exact in sweep:
+                word = stream.array(1 << l)
+                counted = int(np.count_nonzero(word == 2) - np.count_nonzero(word == 0))
+                if counted != expected:
+                    record_failure(report, f"l={l}, letter={letter}: counted diff {counted}, expected {expected}")
+                if exact != counted:
+                    record_failure(report, f"l={l}, letter={letter}: matrix route {exact} != counting route {counted}")
     return report
 
 
@@ -200,6 +208,8 @@ def verify_witness_affixes(n_max: int) -> VerifyReport:
     left in sigma^(k+1)(surplus_letter(k+2)), right in
     sigma^k(surplus_letter(k-1)).
     """
+    if n_max > WITNESS_CAP:
+        raise ResourceLimitError(f"witnesses beyond {WITNESS_CAP} symbols; lower n_max")
     report = VerifyReport("prefix-suffix", f"2<=n<={n_max}", max(0, n_max - 1))
     with timed(report):
         for n in range(2, n_max + 1):

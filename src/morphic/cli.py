@@ -9,13 +9,7 @@ from pathlib import Path
 
 from .complexity import build_complexity_table
 from .ivp import check_ivp
-from .morphisms import (
-    DEFAULT_LENGTH_CAP,
-    FixedPointStream,
-    MorphismParseError,
-    load_morphism_file,
-    preset,
-)
+from .morphisms import FixedPointStream, MorphismParseError, load_morphism_file, preset
 from .reports import VerifyReport
 from .suite import ALL_CHECK_NAMES, run_all, run_check
 from .witnesses import witness, witness_occurrence
@@ -55,20 +49,17 @@ def parse_coding(text: str, alphabet) -> Coding:
 
 def resolve_source(args) -> tuple[FixedPointStream, Coding | None]:
     """Stream and optional coding from --preset / --morphism / --seed / --coding."""
-    file_coding = None
-    if getattr(args, "morphism", None):
+    coding = None
+    if args.morphism:
         spec = load_morphism_file(args.morphism)
-        m, seed = spec.morphism, spec.seed
-        file_coding = spec.coding
+        m, seed, coding = spec.morphism, spec.seed, spec.coding
     else:
-        m, seed = preset(getattr(args, "preset", None) or "tml")
-    if getattr(args, "seed", None) is not None:
+        m, seed = preset(args.preset)
+    if args.seed is not None:
         seed = m.alphabet.symbol_of(args.seed)
-    stream = FixedPointStream(m, seed, DEFAULT_LENGTH_CAP)
-    coding = file_coding
-    if getattr(args, "coding", None):
+    if args.coding:
         coding = parse_coding(args.coding, m.alphabet)
-    return stream, coding
+    return FixedPointStream(m, seed), coding
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -151,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--preset", choices=("tml", "sigma3"), help="built-in morphism")
+    source.add_argument("--preset", choices=("tml", "sigma3"), default="tml", help="built-in morphism")
     source.add_argument("--morphism", metavar="FILE", help="morphism spec file")
     source.add_argument("--seed", metavar="LETTER", help="starting letter (default: the morphism's)")
     source.add_argument("--coding", metavar="MAP", help="letter values, 'a=0,b=1,c=3' or '0,1,3'")

@@ -27,7 +27,7 @@ factor-count profile over a window of more than ``PROFILE_CAP``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -40,10 +40,8 @@ WINDOW_CAP = 1 << 26
 # 165 for n_max = 2**21 (tracemalloc), 200 to 350 MB at this cap.
 PROFILE_CAP = 1 << 21
 
-CSV_COLUMNS = ("n", "rho", "rho_ab", "rho_plus", "ds_min", "ds_max", "evenness")
 
-
-def distinct_substring_profile(data, n_max: int) -> np.ndarray:
+def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
     """Count distinct substrings of each length 1..n_max of ``data``.
 
     Prefix doubling of suffix ranks (Manber & Myers, *Suffix arrays*,
@@ -62,10 +60,9 @@ def distinct_substring_profile(data, n_max: int) -> np.ndarray:
     """
     if n_max < 1:
         return np.zeros(0, dtype=np.int64)
-    arr = data if isinstance(data, np.ndarray) else np.frombuffer(bytes(data), dtype=np.uint8)
-    N = len(arr)
-    levels = [arr]
-    rank = arr
+    N = len(data)
+    levels = [data]
+    rank = data
     h, distinct = 1, 0
     while h < n_max and distinct < N:
         # radix: the largest rank + 1, plus 0 for a suffix that has ended
@@ -352,7 +349,10 @@ class ComplexityRow:
     evenness: int
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (self.n, self.rho, self.rho_ab, self.rho_plus, self.ds_min, self.ds_max, self.evenness)
+        return tuple(getattr(self, name) for name in CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ComplexityRow))
 
 
 @dataclass

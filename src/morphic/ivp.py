@@ -10,8 +10,6 @@ is cross-checked against direct window scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .complexity import FactorScanner
@@ -34,35 +32,18 @@ def sigma3_stream() -> FixedPointStream:
     return FixedPointStream(m, seed)
 
 
-@dataclass(frozen=True)
-class ParikhSetPrediction:
-    """Predicted letter-count vectors at one length: m*(1,1,1) + offsets."""
-
-    m: int
-    r: int
-    offsets: tuple[tuple[int, int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return 3 * self.m + self.r
-
-    def vectors(self) -> frozenset[tuple[int, int, int]]:
-        return frozenset((self.m + a, self.m + b, self.m + c) for a, b, c in self.offsets)
-
-
-def predicted_parikh_set(n: int) -> ParikhSetPrediction:
+def predicted_parikh_set(n: int) -> frozenset[tuple[int, int, int]]:
+    """Predicted letter-count vectors at length n = 3m + r: m*(1,1,1) + the offsets for r."""
     if n < 3:
         raise WordDomainError("the offset family starts at length 3")
     m, r = divmod(n, 3)
-    return ParikhSetPrediction(m, r, PREDICTED_OFFSETS[r])
+    return frozenset((m + a, m + b, m + c) for a, b, c in PREDICTED_OFFSETS[r])
 
 
 def predicted_coded_ds_set(values: tuple[int, int, int], n: int) -> frozenset[int]:
     """Digit sums the re-coded factors of length n should attain."""
-    pred = predicted_parikh_set(n)
     x, y, z = values
-    base = pred.m * (x + y + z)
-    return frozenset(base + a * x + b * y + c * z for a, b, c in pred.offsets)
+    return frozenset(a * x + b * y + c * z for a, b, c in predicted_parikh_set(n))
 
 
 def verify_parikh_prediction(n_to: int, scanner: FactorScanner) -> VerifyReport:
@@ -70,7 +51,7 @@ def verify_parikh_prediction(n_to: int, scanner: FactorScanner) -> VerifyReport:
     report = VerifyReport("prop4", f"3<=n<={n_to}", max(0, n_to - 2))
     with timed(report):
         for n in range(3, n_to + 1):
-            predicted = predicted_parikh_set(n).vectors()
+            predicted = predicted_parikh_set(n)
             got = scanner.parikh_set(n)
             if got != predicted:
                 record_failure(

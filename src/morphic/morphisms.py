@@ -97,10 +97,7 @@ class FixedPointStream:
     are read-only views and remain valid across later extensions.
     """
 
-    def __init__(self, morphism: Morphism, seed: int | str, cap: int = DEFAULT_LENGTH_CAP):
-        if isinstance(seed, str):
-            seed = morphism.alphabet.symbol_of(seed)
-        seed = int(seed)
+    def __init__(self, morphism: Morphism, seed: int, cap: int = DEFAULT_LENGTH_CAP):
         if not 0 <= seed < morphism.alphabet.size:
             raise WordDomainError("seed symbol out of range")
         if not morphism.is_prolongable_on(seed):

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .morphisms import FixedPointStream, preset
-from .words import Word, WordDomainError, ternary_alphabet
+from .words import ResourceLimitError, Word, WordDomainError, ternary_alphabet
+
+# Longest witness built.  `morphic witness --format json` peaks at about
+# 100 bytes per symbol (tracemalloc), so this cap stays near 0.9 GB.
+WITNESS_CAP = 1 << 23
 
 _IMAGES = (bytes((0, 1)), bytes((1, 2)), bytes((2, 0)))
 
@@ -87,6 +91,8 @@ def witness(n: int) -> WitnessDecomposition:
     """Length-n factor attaining digit sum n + floor(log2 n) + 1."""
     if n < 1:
         raise WordDomainError("witness length must be positive")
+    if n > WITNESS_CAP:
+        raise ResourceLimitError(f"witness length {n} exceeds the cap of {WITNESS_CAP}")
     alpha = ternary_alphabet()
     k = n.bit_length() - 1
     rem = n - (1 << k)

@@ -68,17 +68,12 @@ class Alphabet:
     def is_ternary(self) -> bool:
         return self.letters == (0, 1, 2)
 
-    def symbol_of(self, token: int | str) -> int:
-        """Symbol index for a letter given by name or by integer value."""
-        if isinstance(token, str):
-            try:
-                return self.names.index(token)
-            except ValueError:
-                raise WordDomainError(f"unknown letter name {token!r}") from None
+    def symbol_of(self, name: str) -> int:
+        """Symbol index of the letter with this name."""
         try:
-            return self.letters.index(int(token))
+            return self.names.index(name)
         except ValueError:
-            raise WordDomainError(f"unknown letter value {token!r}") from None
+            raise WordDomainError(f"unknown letter name {name!r}") from None
 
     def render(self, symbols: bytes) -> str:
         if self.single_char:

@@ -2,7 +2,9 @@ import pytest
 
 import morphic.checks as checks
 from morphic.complexity import FactorScanner
-from morphic.words import WordDomainError
+from morphic.morphisms import FixedPointStream
+from morphic.witnesses import WITNESS_CAP
+from morphic.words import ResourceLimitError, WordDomainError
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +49,23 @@ class TestVerifiers:
         assert rep.passed and rep.tuples_checked == 30
 
     def test_surplus_balance_counts_guard(self):
-        from morphic.words import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
             checks.verify_surplus_balance_counts(27)
+
+    def test_surplus_balance_counts_reads_the_stream(self, monkeypatch):
+        class FlippedStream(FixedPointStream):
+            def array(self, n):
+                word = super().array(n).copy()
+                word[-1] = (word[-1] + 1) % 3
+                return word
+
+        monkeypatch.setattr(checks, "FixedPointStream", FlippedStream)
+        assert not checks.verify_surplus_balance_counts(10).passed
+
+    @pytest.mark.parametrize("sweep", [checks.verify_witnesses, checks.verify_witness_affixes])
+    def test_witness_sweeps_guard(self, sweep):
+        with pytest.raises(ResourceLimitError):
+            sweep(WITNESS_CAP + 1)
 
     def test_witness_affixes(self):
         assert checks.verify_witness_affixes(512).passed

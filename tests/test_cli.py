@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from morphic.cli import main, parse_coding
+from morphic.witnesses import WITNESS_CAP
 from morphic.words import WordDomainError, ternary_alphabet
 
 TERN = ternary_alphabet()
@@ -254,6 +255,12 @@ class TestWitness:
         payload = json.loads(out)
         assert code == 0
         assert (payload["word"], payload["left"], payload["right"]) == ("2122", "2", "122")
+
+    def test_over_cap_is_refused_in_2gb(self):
+        proc = run_in_2gb("witness", "--length", str(WITNESS_CAP + 1), "--format", "json")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
+        assert "exceeds the cap" in proc.stderr
 
 
 def test_console_script_round_trip():

@@ -69,7 +69,7 @@ class TestProfile:
         assert got.tolist() == expected
 
     def test_profile_empty_for_nonpositive(self):
-        assert distinct_substring_profile(b"abc", 0).tolist() == []
+        assert distinct_substring_profile(np.frombuffer(b"abc", dtype=np.uint8), 0).tolist() == []
 
     def test_profile_memory_per_symbol(self, s3_scan):
         window = s3_scan.window(256)

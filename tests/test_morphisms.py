@@ -90,7 +90,7 @@ class TestFixedPointStream:
 
     def test_seed_by_name(self):
         m, _ = preset("sigma3")
-        s = FixedPointStream(m, "b")
+        s = FixedPointStream(m, m.alphabet.symbol_of("b"))
         assert str(s.prefix(3)) == "bca"
 
     def test_cap(self):
@@ -124,6 +124,14 @@ class TestFixedPointStream:
         m = tml.morphism
         for n in (1, 5, 37, 256):
             assert m.apply(tml.prefix(n)) == tml.prefix(2 * n)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_prefix_is_substitution_power(self, seed):
+        # prolongable on every letter, so sigma^l(x) is the length-2^l prefix on seed x
+        m, _ = preset("tml")
+        s = FixedPointStream(m, seed)
+        for l in range(13):
+            assert s.array(1 << l).tobytes() == sigma_power_bytes(seed, l)
 
     def test_block_invariance_order_six(self, tml):
         # the word equals its own letter-by-letter expansion through six steps
