@@ -97,14 +97,13 @@ class FixedPointStream:
     are read-only views and remain valid across later extensions.
     """
 
-    def __init__(self, morphism: Morphism, seed: int, cap: int = DEFAULT_LENGTH_CAP):
+    def __init__(self, morphism: Morphism, seed: int):
         if not 0 <= seed < morphism.alphabet.size:
             raise WordDomainError("seed symbol out of range")
         if not morphism.is_prolongable_on(seed):
             raise WordDomainError("morphism is not prolongable on the requested seed")
         self.morphism = morphism
         self.seed = seed
-        self.cap = cap
         width = morphism.uniform_width
         self._imat = None
         if width is not None:
@@ -133,8 +132,8 @@ class FixedPointStream:
             raise WordDomainError(f"prefix length {n} is negative")
         if n <= len(self._buf):
             return
-        if n > self.cap:
-            raise ResourceLimitError(f"prefix request {n} exceeds cap {self.cap}")
+        if n > DEFAULT_LENGTH_CAP:
+            raise ResourceLimitError(f"prefix request {n} exceeds cap {DEFAULT_LENGTH_CAP}")
         with self._lock:
             buf = self._buf
             while len(buf) < n:

@@ -23,10 +23,14 @@ from .morphisms import FixedPointStream, preset
 from .words import ResourceLimitError, Word, WordDomainError, ternary_alphabet
 
 # Longest witness built.  `morphic witness --format json` peaks at about
-# 100 bytes per symbol (tracemalloc), so this cap stays near 0.9 GB.
+# 21 bytes per symbol (tracemalloc) and reads about 230 MB max RSS here.
 WITNESS_CAP = 1 << 23
 
+_TERN = ternary_alphabet()
+
 _IMAGES = (bytes((0, 1)), bytes((1, 2)), bytes((2, 0)))
+# translate tables: letter -> first / second letter of its image
+_FIRST, _SECOND = (bytes(im[d] for im in _IMAGES).ljust(256, b"\0") for d in range(2))
 
 _SURPLUS_BY_RESIDUE = {0: 2, 1: 1, 2: 1, 3: 0, 4: 0, 5: 2}
 
@@ -55,7 +59,10 @@ def sigma_power_bytes(letter: int, e: int) -> bytes:
     if e == 0:
         return bytes((letter,))
     prev = sigma_power_bytes(letter, e - 1)
-    return b"".join(_IMAGES[s] for s in prev)
+    out = bytearray(2 * len(prev))
+    out[0::2] = prev.translate(_FIRST)
+    out[1::2] = prev.translate(_SECOND)
+    return bytes(out)
 
 
 def ternary_stream() -> FixedPointStream:
@@ -77,10 +84,7 @@ class WitnessDecomposition:
     bits: tuple[int, ...]
     left: Word
     right: Word
-
-    @property
-    def whole(self) -> Word:
-        return self.left + self.right
+    whole: Word
 
     @property
     def target_digit_sum(self) -> int:
@@ -93,29 +97,27 @@ def witness(n: int) -> WitnessDecomposition:
         raise WordDomainError("witness length must be positive")
     if n > WITNESS_CAP:
         raise ResourceLimitError(f"witness length {n} exceeds the cap of {WITNESS_CAP}")
-    alpha = ternary_alphabet()
     k = n.bit_length() - 1
     rem = n - (1 << k)
     bits = tuple((rem >> i) & 1 for i in range(k))
-    if n == 1:
-        w = WitnessDecomposition(1, 0, (), Word(alpha), Word(alpha, b"\x02"))
-    else:
-        left = bytearray()
+    left = bytearray()
+    if n > 1:
         if bits[0] == 1:
             left.append(1)
         left.append(2)
-        for i in range(1, (k - 1) // 2 + 1):
-            e = 2 * i + bits[2 * i]
-            left += sigma_power_bytes(surplus_letter(e), e)
-        right = bytearray()
-        for i in range((k - 1 + 1) // 2, 0, -1):
-            e = 2 * i - 1 + bits[2 * i - 1]
-            right += sigma_power_bytes(surplus_letter(e), e)
-        right.append(2)
-        w = WitnessDecomposition(n, k, bits, Word(alpha, bytes(left)), Word(alpha, bytes(right)))
-    if len(w.whole) != n:
-        raise RuntimeError(f"witness assembly produced length {len(w.whole)}, wanted {n}")
-    return w
+    for i in range(1, (k - 1) // 2 + 1):
+        e = 2 * i + bits[2 * i]
+        left += sigma_power_bytes(surplus_letter(e), e)
+    right = bytearray()
+    for i in range(k // 2, 0, -1):
+        e = 2 * i - 1 + bits[2 * i - 1]
+        right += sigma_power_bytes(surplus_letter(e), e)
+    right.append(2)
+    left, right = Word(_TERN, left), Word(_TERN, right)
+    whole = Word(_TERN, left.symbols + right.symbols)
+    if len(whole) != n:
+        raise RuntimeError(f"witness assembly produced length {len(whole)}, wanted {n}")
+    return WitnessDecomposition(n, k, bits, left, right, whole)
 
 
 @lru_cache(maxsize=32)
@@ -128,7 +130,7 @@ def letter_pair_haystacks(K: int) -> tuple[bytes, ...]:
     )
 
 
-def is_factor(u) -> bool:
+def is_factor(u: Word) -> bool:
     """Exact membership test for factors of the doubling fixed point.
 
     Every adjacent letter pair occurs in the fixed point, and the fixed
@@ -136,11 +138,11 @@ def is_factor(u) -> bool:
     at most 2^K lies inside sigma^K(xy) for some adjacent pair xy.
     Checking all nine ordered pairs is therefore sound and complete.
     """
-    data = u.symbols if isinstance(u, Word) else bytes(u)
+    if not u.alphabet.is_ternary:
+        raise WordDomainError("membership test requires the alphabet {0,1,2}")
+    data = u.symbols
     if not data:
         return True
-    if max(data) > 2:
-        return False
     K = (len(data) - 1).bit_length()
     return any(data in hay for hay in letter_pair_haystacks(K))
 
@@ -158,12 +160,12 @@ def decomposition_haystack(k: int) -> bytes:
 def witness_occurrence(w: WitnessDecomposition) -> int:
     """Index of the witness inside its occurrence context.
 
-    For n = 1 the context is the first letters of the stream itself.
-    Raises if the witness does not occur, which would falsify the
-    whole construction.
+    For n = 1 the context is sigma^3(0), the first eight letters of the
+    fixed point.  Raises if the witness does not occur, which would
+    falsify the whole construction.
     """
     if w.n == 1:
-        hay = bytes(ternary_stream().array(8))
+        hay = sigma_power_bytes(0, 3)
     else:
         hay = decomposition_haystack(w.k)
     idx = hay.find(w.whole.symbols)

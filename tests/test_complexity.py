@@ -11,7 +11,8 @@ from morphic.complexity import (
     build_complexity_table,
     distinct_substring_profile,
 )
-from morphic.morphisms import FixedPointStream, Morphism, preset
+from morphic.morphisms import FixedPointStream, Morphism
+from morphic.witnesses import ternary_stream
 from morphic.words import Coding, ResourceLimitError, Word, WordDomainError, ternary_alphabet
 
 TERN = ternary_alphabet()
@@ -109,11 +110,11 @@ class TestScanner:
             FactorScanner(tml, Coding(s3.alphabet, (0, 1, 2)))
 
     def test_window_cap_enforced(self):
-        m, seed = preset("tml")
-        tight = FactorScanner(FixedPointStream(m, seed, cap=1024))
-        assert tight.digit_sum_set(1) == frozenset({0, 1, 2})
+        # length 2^22 needs a window of 121,634,816 symbols, over WINDOW_CAP
+        scanner = FactorScanner(ternary_stream())
+        assert scanner.digit_sum_set(1) == frozenset({0, 1, 2})
         with pytest.raises(ResourceLimitError):
-            tight.digit_sum_set(64)
+            scanner.digit_sum_set(1 << 22)
 
     def test_rejects_nonpositive_length(self, tml_scan):
         with pytest.raises(WordDomainError):

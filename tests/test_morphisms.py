@@ -95,9 +95,9 @@ class TestFixedPointStream:
 
     def test_cap(self):
         m, seed = preset("tml")
-        s = FixedPointStream(m, seed, cap=1024)
+        s = FixedPointStream(m, seed)
         with pytest.raises(ResourceLimitError):
-            s.ensure(4096)
+            s.ensure(DEFAULT_LENGTH_CAP + 1)
 
     def test_negative_lengths_rejected(self):
         m, seed = preset("tml")
@@ -130,7 +130,7 @@ class TestFixedPointStream:
         # prolongable on every letter, so sigma^l(x) is the length-2^l prefix on seed x
         m, _ = preset("tml")
         s = FixedPointStream(m, seed)
-        for l in range(13):
+        for l in range(17):
             assert s.array(1 << l).tobytes() == sigma_power_bytes(seed, l)
 
     def test_block_invariance_order_six(self, tml):

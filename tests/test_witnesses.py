@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from morphic.witnesses import (
     witness,
     witness_occurrence,
 )
-from morphic.words import Word, WordDomainError, ternary_alphabet
+from morphic.words import Alphabet, Word, WordDomainError, ternary_alphabet
 
 TERN = ternary_alphabet()
 
@@ -90,6 +92,18 @@ class TestWitness:
         with pytest.raises(WordDomainError):
             witness(0)
 
+    def test_occurrence_memory_per_symbol(self):
+        sigma_power_bytes.cache_clear()
+        decomposition_haystack.cache_clear()
+        w = witness(1 << 20)
+        tracemalloc.start()
+        try:
+            witness_occurrence(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * w.n
+
     @settings(deadline=None, max_examples=40)
     @given(st.integers(1, 4096))
     def test_construction_properties(self, n):
@@ -104,17 +118,18 @@ class TestMembership:
         data = bytes(tml.array(2048))
         for n in (1, 2, 3, 7, 16, 65):
             for i in range(0, 512, 37):
-                assert is_factor(data[i : i + n])
+                assert is_factor(Word(TERN, data[i : i + n]))
 
     def test_negatives(self):
         for text in ("000", "222", "110", "2121", "21212"):
             assert not is_factor(Word.from_text(TERN, text))
 
     def test_letters_outside_alphabet(self):
-        assert not is_factor(b"\x03")
+        with pytest.raises(WordDomainError):
+            is_factor(Word(Alphabet((0, 1, 2, 3)), b"\x03"))
 
     def test_empty_word(self):
-        assert is_factor(b"")
+        assert is_factor(Word(TERN))
 
     def test_pair_haystacks(self):
         hays = letter_pair_haystacks(4)
