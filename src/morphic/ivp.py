@@ -10,6 +10,8 @@ is cross-checked against direct window scans.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .complexity import FactorScanner
@@ -68,9 +70,9 @@ def check_ivp(stream: FixedPointStream, coding: Coding | None, n_from: int, n_to
     ``coding`` is over the stream's alphabet; None sums the letter
     values.  A length n is gapped when some value strictly between the
     attained minimum and maximum is attained by no factor of that
-    length; ``gaps`` lists every such value, so the census stops with
-    ResourceLimitError before it would check more than CENSUS_CAP
-    values.
+    length; ``gaps`` holds every such value, 8 bytes each in an
+    ``array("q")``, so the census stops with ResourceLimitError before
+    it would check more than CENSUS_CAP values.
     """
     if n_from < 1 or n_to < n_from:
         raise WordDomainError("need 1 <= n_from <= n_to")
@@ -89,10 +91,14 @@ def check_ivp(stream: FixedPointStream, coding: Coding | None, n_from: int, n_to
                 )
             report.tuples_checked += hi - lo + 1
             if len(ds) < hi - lo + 1:
-                # one flag per value of [lo, hi], not one Python int
+                # one flag per value of [lo, hi], then 8 bytes per missing
+                # value, copied from numpy without one Python int each
                 absent = np.ones(hi - lo + 1, dtype=bool)
                 absent[np.fromiter(ds, dtype=np.int64, count=len(ds)) - lo] = False
-                missing = (np.nonzero(absent)[0] + lo).tolist()
+                missing_sums = np.flatnonzero(absent).astype(np.int64, copy=False)
+                missing_sums += lo
+                missing = array("q")
+                missing.frombytes(missing_sums.view(np.uint8))
                 report.gaps[n] = missing
                 record_failure(report, f"n={n}: {len(missing)} missing, least {missing[0]}")
     return report

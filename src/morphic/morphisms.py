@@ -7,8 +7,10 @@ every downstream computation against generator bugs.
 
 automatic_prefix never substitutes a word: every letter starts at the
 seed and walks the base-r digits of its own index, most significant
-first.  That walk, not a reuse of earlier prefixes, is what keeps it
-independent of the stream.
+first.  A fixed point of an r-uniform morphism is also r**c-automatic,
+so the walk reads c digits at a time through tables built from sigma's
+digit table alone.  That walk over the whole index range, not a reuse
+of earlier prefixes, is what keeps it independent of the stream.
 """
 
 from __future__ import annotations
@@ -105,11 +107,13 @@ class FixedPointStream:
         self.morphism = morphism
         self.seed = seed
         width = morphism.uniform_width
-        self._imat = None
+        # for a uniform morphism, tables[d] translates s to digit d of sigma(s)
+        self._tables = None
         if width is not None:
-            self._imat = np.array(
-                [list(im.symbols) for im in morphism.images], dtype=np.uint8
-            )
+            self._tables = [
+                bytes(im.symbols[d] for im in morphism.images).ljust(256, b"\0")
+                for d in range(width)
+            ]
         self._buf = np.array([seed], dtype=np.uint8)
         self._lock = threading.Lock()
 
@@ -137,9 +141,12 @@ class FixedPointStream:
         with self._lock:
             buf = self._buf
             while len(buf) < n:
-                if self._imat is not None:
-                    width = self._imat.shape[1]
-                    buf = self._imat[buf[: (n + width - 1) // width]].reshape(-1)
+                if self._tables is not None:
+                    width = len(self._tables)
+                    src = buf[: (n + width - 1) // width].tobytes()
+                    buf = np.empty(len(src) * width, dtype=np.uint8)
+                    for d, table in enumerate(self._tables):
+                        buf[d::width] = np.frombuffer(src.translate(table), dtype=np.uint8)
                 else:
                     images = [im.symbols for im in self.morphism.images]
                     # ends[i] = |sigma(buf[:i + 1])|
@@ -169,13 +176,26 @@ class FixedPointStream:
         return Word(self.alphabet, bytes(self.array(n)))
 
 
+# states one digit-path pass translates at a time, about the size of a core's cache
+_PASS_CHUNK = 1 << 20
+
+
+def _translate(view: np.ndarray, table: bytes) -> None:
+    """Map a uint8 view in place through a 256-byte translation table."""
+    view[...] = np.frombuffer(view.tobytes().translate(table), dtype=np.uint8).reshape(view.shape)
+
+
 def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
     """First n letters via vectorized digit-path evaluation.
 
     Independent of the substitution route: letter i walks the base-r
-    digits of i (most significant first) through the image table.
-    Digit p of i is constant on runs of r**p indices that cycle every
-    r**(p+1), so each pass maps strided slices in place.
+    digits of i (most significant first) from the seed, with no word
+    ever substituted.  The walk reads c digits per pass, one base R =
+    r**c digit, through R tables built by walking every c-digit string
+    through sigma's digit table from every letter.  Digit p of i in
+    base R is constant on runs of R**p indices that cycle every
+    R**(p+1), so each pass translates, digit by digit, the runs that
+    share it and writes them back in place.
     """
     r = m.uniform_width
     if r is None or r < 2:
@@ -186,21 +206,35 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
         raise WordDomainError(f"prefix length {n} is negative")
     if n > DEFAULT_LENGTH_CAP:
         raise ResourceLimitError(f"prefix request {n} exceeds cap {DEFAULT_LENGTH_CAP}")
+    # base R = r**c, the largest power of r up to 256 (r itself for wider
+    # images), keeps the tables and the translate calls per pass at most 256
+    base = r
+    while base * r <= 256:
+        base *= r
     # step[d][s] = digit d of sigma(s)
     step = np.array([[im.symbols[d] for im in m.images] for d in range(r)], dtype=np.uint8)
-    positions = 1
-    while r**positions < n:
-        positions += 1
+    # walk[q][s] = the letter reached from s along the c base-r digits of q
+    walk = np.arange(m.alphabet.size, dtype=np.uint8)[None, :]
+    while len(walk) < base:
+        walk = step[:, walk].transpose(1, 0, 2).reshape(-1, m.alphabet.size)
+    tables = [row.tobytes().ljust(256, b"\0") for row in walk]
+    passes = 1
+    while base**passes < n:
+        passes += 1
     states = np.full(n, seed, dtype=np.uint8)
-    for p in range(positions - 1, -1, -1):
-        run = r**p
-        whole = n // (run * r) * (run * r)
-        blocks = states[:whole].reshape(-1, r, run)
-        # every state is a letter, so "clip" never clips; it spares take a copy of out
-        for d in range(r):
-            np.take(step[d], blocks[:, d, :], out=blocks[:, d, :], mode="clip")
-            tail = states[whole + d * run : whole + (d + 1) * run]
-            np.take(step[d], tail, out=tail, mode="clip")
+    for p in range(passes - 1, -1, -1):
+        run = base**p
+        span = run * base
+        whole = n // span * span
+        # whole blocks a chunk at a time, so that the strided runs of each
+        # digit are read from cache; by_digit[d] holds the runs whose digit p is d
+        chunk = max(1, _PASS_CHUNK // span) * span
+        for start in range(0, whole, chunk):
+            by_digit = states[start : min(start + chunk, whole)].reshape(-1, base, run).transpose(1, 0, 2)
+            for d, table in enumerate(tables):
+                _translate(by_digit[d], table)
+        for d, table in enumerate(tables):
+            _translate(states[whole + d * run : whole + (d + 1) * run], table)
     return states
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -16,7 +17,7 @@ class VerifyReport:
     capped by the producing check; an empty list means the check
     passed.  ``notes`` carries observations that are not failures.
     ``gaps``, set only by the gap census, maps each gapped length to
-    every missing digit sum.
+    every missing digit sum, stored 8 bytes a value as ``array("q")``.
     """
 
     check: str
@@ -25,7 +26,7 @@ class VerifyReport:
     failures: list[str] = field(default_factory=list)
     elapsed_ms: float = 0.0
     notes: list[str] = field(default_factory=list)
-    gaps: dict[int, list[int]] | None = None
+    gaps: dict[int, array] | None = None
 
     @property
     def passed(self) -> bool:
@@ -42,7 +43,7 @@ class VerifyReport:
         if self.notes:
             d["notes"] = list(self.notes)
         if self.gaps is not None:
-            d["gaps"] = {str(n): vals for n, vals in sorted(self.gaps.items())}
+            d["gaps"] = {str(n): vals.tolist() for n, vals in sorted(self.gaps.items())}
         return d
 
     def to_json(self) -> str:

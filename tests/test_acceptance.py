@@ -126,7 +126,7 @@ def test_criterion_09_rotation_word_structure(capsys, s3_acc):
         n = 3 * m + 1
         if n > 300:
             break
-        assert skewed.gaps.get(n) == [4 * m - 1], n
+        assert list(skewed.gaps[n]) == [4 * m - 1], n
     for n in range(3, 301, 3):
         assert n not in skewed.gaps, n
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import substitute
+from morphic import morphisms
 from morphic.morphisms import FixedPointStream, Morphism, automatic_prefix, parse_morphism_spec, preset
 from morphic.words import Alphabet, Word
 
@@ -35,13 +36,18 @@ def images_of(draw, k: int, widths) -> tuple[bytes, ...]:
 
 @st.composite
 def uniform_cases(draw):
-    """A uniform morphism over 2-8 letters of width 2-6, prolongable on 0,
-    with a length near a power of the width or anywhere up to N_MAX."""
+    """A uniform morphism over 2-8 letters of width 2-17, prolongable on 0,
+    with a length anywhere up to N_MAX or next to a power of R = r**c, where
+    c >= 1 is the most digits with r**c <= 256 (one digit-path pass per
+    base-R digit), so that c = 1, 2 and 3 or more all occur."""
     k = draw(st.integers(2, 8))
-    r = draw(st.integers(2, 6))
+    r = draw(st.integers(2, 17))
     images = images_of(draw, k, [r] * k)
-    p = draw(st.integers(0, int(math.log(N_MAX, r))))
-    n = draw(st.sampled_from([0, 1, r**p - 1, r**p, r**p + 1]) | st.integers(0, N_MAX))
+    base = r
+    while base * r <= 256:
+        base *= r
+    p = draw(st.integers(0, max(2, int(math.log(N_MAX, base)))))
+    n = draw(st.sampled_from([0, 1, base**p - 1, base**p, base**p + 1]) | st.integers(0, N_MAX))
     return images, n
 
 
@@ -75,6 +81,24 @@ def test_wide_morphism_below_one_image():
     m = morphism_of(images)
     for n in (0, 1, 2, 150, 299):
         assert automatic_prefix(m, 0, n).tobytes() == oracle_prefix(images, n)
+
+
+def test_automatic_prefix_substitutes_no_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the digit-path route reached the substitution route")
+
+    monkeypatch.setattr(morphisms, "FixedPointStream", refuse)
+    monkeypatch.setattr(Morphism, "apply", refuse)
+    monkeypatch.setattr(Morphism, "iterate", refuse)
+    rng = np.random.default_rng(17)
+    wide = [bytearray(rng.integers(0, 4, 17, dtype=np.uint8).tobytes()) for _ in range(4)]
+    wide[0][0] = 0
+    for images, n in (
+        ((b"\x00\x01", b"\x01\x02", b"\x02\x00"), 256**2 + 1),
+        ((b"\x00\x01\x02", b"\x01\x02\x00", b"\x02\x00\x01"), 243**2 - 1),
+        (tuple(map(bytes, wide)), 17**3),
+    ):
+        assert automatic_prefix(morphism_of(images), 0, n).tobytes() == oracle_prefix(images, n)
 
 
 @settings(deadline=None, max_examples=100)
@@ -117,3 +141,9 @@ def test_non_uniform_stream_peak_memory():
     spec = parse_morphism_spec("a -> abbc\nb -> c\nc -> ab\n")
     n = 1 << 22
     assert peak_bytes_per_symbol(lambda: FixedPointStream(spec.morphism, spec.seed).array(n), n) < 14
+
+
+def test_uniform_stream_peak_memory():
+    m, seed = preset("tml")
+    n = 1 << 22
+    assert peak_bytes_per_symbol(lambda: FixedPointStream(m, seed).array(n), n) < 3

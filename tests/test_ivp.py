@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from morphic.complexity import FactorScanner
@@ -11,6 +13,7 @@ from morphic.ivp import (
     verify_coding_grid,
     verify_parikh_prediction,
 )
+from morphic.morphisms import FixedPointStream, preset
 from morphic.words import Coding, ResourceLimitError, WordDomainError
 
 
@@ -57,9 +60,9 @@ class TestCodedSums:
             if r == 0:
                 assert n not in rep.gaps
             elif r == 1:
-                assert rep.gaps[n] == [4 * m - 1]
+                assert list(rep.gaps[n]) == [4 * m - 1]
             else:
-                assert rep.gaps[n] == [4 * m + 5]
+                assert list(rep.gaps[n]) == [4 * m + 5]
 
     def test_predicted_coded_sums_match_scan(self, s3):
         sc = FactorScanner(s3, Coding(s3.alphabet, (0, 1, 3)))
@@ -76,6 +79,19 @@ class TestCodedSums:
     def test_census_cap(self, s3):
         with pytest.raises(ResourceLimitError, match="gap census"):
             check_ivp(s3, Coding(s3.alphabet, (0, 1, CENSUS_CAP)), 1, 2)
+
+    def test_wide_census_memory_per_missing_value(self):
+        # about 3.9 million missing sums; one Python int each would take about 40 B
+        m, seed = preset("tml")
+        tracemalloc.start()
+        try:
+            rep = check_ivp(FixedPointStream(m, seed), Coding(m.alphabet, (0, 5937, 100000)), 1, 12)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        missing = sum(map(len, rep.gaps.values()))
+        assert missing > 3_000_000
+        assert peak / missing < 16 and held / missing < 12
 
     def test_range_validation(self, s3):
         with pytest.raises(WordDomainError):
