@@ -11,14 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
+from morphic.checks import floor_log2
 from morphic.complexity import build_complexity_table
 from morphic.ivp import sigma3_stream
 from morphic.witnesses import ternary_stream
 from morphic.words import Coding
-
-
-def floor_log2(n: int) -> int:
-    return n.bit_length() - 1
 
 
 def main() -> int:

@@ -31,6 +31,9 @@ from .words import (
 
 DEFAULT_LENGTH_CAP = 1 << 30
 
+# translation table taking each symbol s below 128 to the marker byte 128 + s
+_MARKERS = bytes((128 + s) % 256 for s in range(256))
+
 PRESET_NAMES = ("tml", "sigma3")
 
 
@@ -153,16 +156,13 @@ class FixedPointStream:
                     ends = np.array([len(im) for im in images], dtype=np.int64)[buf]
                     np.cumsum(ends, out=ends)
                     m = min(int(np.searchsorted(ends, n)) + 1, len(buf))
-                    cut, ends = buf[:m], ends[:m]
-                    out = np.empty(int(ends[-1]), dtype=np.uint8)
-                    # sigma(cut[i]) fills out[ends[i] - |sigma(cut[i])|:ends[i]]
+                    del ends
+                    # symbols and images stay below MAX_LETTERS = 16, so
+                    # marker 128 + s stands for letter s until its image replaces it
+                    out = buf[:m].tobytes().translate(_MARKERS)
                     for s, im in enumerate(images):
-                        at = ends[cut == s]
-                        at -= len(im)
-                        for x in im:
-                            out[at] = x
-                            at += 1
-                    buf = out
+                        out = out.replace(_MARKERS[s : s + 1], im)
+                    buf = np.frombuffer(out, dtype=np.uint8)
             self._buf = buf
 
     def array(self, n: int) -> np.ndarray:

@@ -151,11 +151,6 @@ class Word:
             return Word(self.alphabet, self.symbols[i])
         return self.symbols[i]
 
-    def __add__(self, other: "Word") -> "Word":
-        if other.alphabet != self.alphabet:
-            raise WordDomainError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.symbols + other.symbols)
-
     def __str__(self) -> str:
         return self.alphabet.render(self.symbols)
 

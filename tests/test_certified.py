@@ -157,6 +157,19 @@ def test_chacon_takes_the_doubling_fallback():
     assert [scanner.subword_complexity(n) for n in range(2, 13)] == [2 * n - 1 for n in range(2, 13)]
 
 
+def test_doubling_fallback_doubles_past_its_start():
+    # the first run of k b's ends sigma^k(a), 2^(k+1) - 1 symbols in, so
+    # at n = 12 the factor set still grows between 4096 and 8192 symbols
+    spec = parse_morphism_spec("a -> aab\nb -> b\n")
+    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
+    assert scanner.certified is False
+    assert len(scanner.window(12)) > 4096
+    images = tuple(im.symbols for im in spec.morphism.images)
+    prefix = substitute(images, bytes((spec.seed,)), 16)
+    assert len(prefix) >= BRUTE_LENGTH
+    assert scanner.subword_complexity(12) == len(brute_factors(prefix, 12)) == 60
+
+
 def test_fallback_start_reaches_a_late_letter():
     # u = 0 (1^300 2)(1^300 2)...: the first 2 sits past a 64n-symbol window
     # for small n, where the 1s alone look like a stable factor set.

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -137,10 +138,22 @@ def test_automatic_prefix_peak_memory():
     assert peak_bytes_per_symbol(lambda: automatic_prefix(m, seed, n), n) < 8
 
 
-def test_non_uniform_stream_peak_memory():
-    spec = parse_morphism_spec("a -> abbc\nb -> c\nc -> ab\n")
-    n = 1 << 22
-    assert peak_bytes_per_symbol(lambda: FixedPointStream(spec.morphism, spec.seed).array(n), n) < 14
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("a -> abbc\nb -> c\nc -> ab\n", 1 << 22),
+        # just past a whole iterate of 6,601,569 symbols, so the last step
+        # sums image lengths over a buffer as long as the request
+        ("a -> ab\nb -> c\nc -> ca\n", 6_606_028),
+    ],
+    ids=["abbc-c-ab", "ab-c-ca"],
+)
+def test_non_uniform_stream_peak_memory(text, n):
+    spec = parse_morphism_spec(text)
+    stream = FixedPointStream(spec.morphism, spec.seed)
+    assert peak_bytes_per_symbol(lambda: stream.array(n), n) < 14
+    images = tuple(im.symbols for im in spec.morphism.images)
+    assert stream.array(n).tobytes() == oracle_prefix(images, n)
 
 
 def test_uniform_stream_peak_memory():

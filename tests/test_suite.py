@@ -1,9 +1,11 @@
-"""The check registry: every name runs, and checks are looked up at call time."""
+"""The check registry: every name runs, checks are looked up at call
+time, and the checks that read a stream catch a corrupted one."""
 
 import pytest
 
 import morphic.checks as checks
 from morphic.complexity import FactorScanner
+from morphic.morphisms import FixedPointStream, preset
 from morphic.reports import VerifyReport
 from morphic.suite import ALL_CHECK_NAMES, SuiteContext, run_check
 
@@ -19,6 +21,38 @@ def test_every_registered_check_runs(name, context):
     report = run_check(name, n_max, context)
     assert report.check == name
     assert report.passed, report.failures[:5]
+
+
+class TrailingTwos(FixedPointStream):
+    """Each snapshot ends in 222, a factor of neither tml nor sigma3."""
+
+    def array(self, n):
+        word = super().array(n).copy()
+        word[-3:] = 2
+        return word
+
+
+# witness and prefix-suffix read no stream; dc-counts has its own test
+@pytest.mark.parametrize(
+    "name",
+    [
+        "theorem1",
+        "ds-bounds",
+        # not sigma-tau: it checks a morphism identity that holds for every word
+        "mirror-closure",
+        # not tech-lemma: the shift lemma still holds on the expansion of 222
+        "ivp-small",
+        "additive-recurrence",
+        "kernel",
+        "prop4",
+        "subword-recurrence",
+    ],
+)
+def test_checks_fail_on_a_corrupted_stream(name):
+    context = SuiteContext()
+    context.tml = FactorScanner(TrailingTwos(*preset("tml")))
+    context.sigma3 = FactorScanner(TrailingTwos(*preset("sigma3")))
+    assert not run_check(name, 8, context).passed
 
 
 def test_checks_are_looked_up_at_call_time(monkeypatch):

@@ -1,11 +1,13 @@
 """The documented surface matches the package: README commands and exports."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import morphic
 from morphic.cli import main
+from morphic.suite import ALL_CHECK_NAMES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,13 +23,16 @@ def test_readme_commands_run(tmp_path, capsys):
     commands = readme_commands()
     assert commands
     for i, argv in enumerate(commands):
-        if argv[:2] == ["verify", "all"]:
-            continue  # the acceptance tests run the full battery
         if "--out" in argv:
             argv = argv[: argv.index("--out")] + argv[argv.index("--out") + 2 :]
-        code = main([*argv, "--out", str(tmp_path / f"out{i}")])
+        out = tmp_path / f"out{i}"
+        code = main([*argv, "--out", str(out)])
         assert code == (1 if argv[0] == "ivp" else 0), argv
-        assert (tmp_path / f"out{i}").stat().st_size > 0, argv
+        assert out.stat().st_size > 0, argv
+        if argv[:2] == ["verify", "all"]:
+            reports = json.loads(out.read_text())
+            assert [r["check"] for r in reports] == list(ALL_CHECK_NAMES)
+            assert [r["failures"] for r in reports] == [[]] * 13
 
 
 def test_exports_resolve():

@@ -74,11 +74,6 @@ class TestWord:
         assert str(w[2:5]) == "121"
         assert w[3] == 2
 
-    def test_concat_checks_alphabet(self):
-        other = Alphabet((0, 1))
-        with pytest.raises(WordDomainError):
-            Word.from_text(TERN, "01") + Word(other, b"\x00")
-
     def test_symbol_out_of_range(self):
         with pytest.raises(WordDomainError):
             Word(TERN, b"\x05")
