@@ -237,15 +237,22 @@ def _tech_pair(ub: bytes, i: int, vb: bytes, j: int) -> bool:
 def verify_shift_gain_exhaustive(scanner: FactorScanner) -> VerifyReport:
     """Exhaustive anchored-shift sweep over all expanded length-3 factors.
 
-    Expand each length-3 factor through six substitution steps (192
-    letters).  For every pair of expansions, every middle-third position
-    i with letter 0 in the first and j with letter 2 in the second,
-    some forward shift within the window or backward shift within the
-    anchors must change the running sum to exactly 1.
+    Each scanned length-3 factor must pass the pair-context membership
+    test, which ties it to the fixed point.  Expand each through six
+    substitution steps (192 letters).  For every pair of expansions,
+    every middle-third position i with letter 0 in the first and j with
+    letter 2 in the second, some forward shift within the window or
+    backward shift within the anchors must change the running sum to
+    exactly 1.
     """
     report = VerifyReport("tech-lemma", "|u|=|v|=3, 64<=i,j<128", 0)
     with timed(report):
-        expansions = [b"".join(sigma_power_bytes(s, 6) for s in u) for u in scanner.factor_index(3)]
+        factors = scanner.factor_index(3)
+        for b in factors:
+            u = Word(scanner.alphabet, b)
+            if not is_factor(u):
+                record_failure(report, f"u={u}: rejected by the pair-context membership test")
+        expansions = [b"".join(sigma_power_bytes(s, 6) for s in u) for u in factors]
         a_anchors = [(e, i) for e in expansions for i in range(64, 128) if e[i] == 0]
         b_anchors = [(e, j) for e in expansions for j in range(64, 128) if e[j] == 2]
         for ub, i in a_anchors:

@@ -10,13 +10,11 @@ is cross-checked against direct window scans.
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 from .complexity import FactorScanner
 from .morphisms import FixedPointStream, preset
-from .reports import VerifyReport, record_failure, timed
+from .reports import Runs, VerifyReport, record_failure, timed
 from .words import Coding, ResourceLimitError, WordDomainError
 
 # Most digit sums one gap census may check; its report lists the missing ones.
@@ -70,9 +68,11 @@ def check_ivp(stream: FixedPointStream, coding: Coding | None, n_from: int, n_to
     ``coding`` is over the stream's alphabet; None sums the letter
     values.  A length n is gapped when some value strictly between the
     attained minimum and maximum is attained by no factor of that
-    length; ``gaps`` holds every such value, 8 bytes each in an
-    ``array("q")``, so the census stops with ResourceLimitError before
-    it would check more than CENSUS_CAP values.
+    length; ``gaps`` holds every such value as the runs between
+    consecutive attained sums, so its memory follows the number of
+    attained sums, not the spread.  The census stops with
+    ResourceLimitError before it would check more than CENSUS_CAP
+    values, which bounds the lists the report serializes.
     """
     if n_from < 1 or n_to < n_from:
         raise WordDomainError("need 1 <= n_from <= n_to")
@@ -91,16 +91,13 @@ def check_ivp(stream: FixedPointStream, coding: Coding | None, n_from: int, n_to
                 )
             report.tuples_checked += hi - lo + 1
             if len(ds) < hi - lo + 1:
-                # one flag per value of [lo, hi], then 8 bytes per missing
-                # value, copied from numpy without one Python int each
-                absent = np.ones(hi - lo + 1, dtype=bool)
-                absent[np.fromiter(ds, dtype=np.int64, count=len(ds)) - lo] = False
-                missing_sums = np.flatnonzero(absent).astype(np.int64, copy=False)
-                missing_sums += lo
-                missing = array("q")
-                missing.frombytes(missing_sums.view(np.uint8))
+                # the values missed between consecutive attained sums
+                attained = np.sort(np.fromiter(ds, dtype=np.int64, count=len(ds)))
+                starts, stops = attained[:-1] + 1, attained[1:]
+                holes = starts < stops
+                missing = Runs(starts[holes], stops[holes])
                 report.gaps[n] = missing
-                record_failure(report, f"n={n}: {len(missing)} missing, least {missing[0]}")
+                record_failure(report, f"n={n}: {len(missing)} missing, least {missing.starts[0]}")
     return report
 
 

@@ -36,6 +36,12 @@ _MARKERS = bytes((128 + s) % 256 for s in range(256))
 
 PRESET_NAMES = ("tml", "sigma3")
 
+# states one digit-path pass translates at a time, about the size of a core's cache
+_PASS_CHUNK = 1 << 20
+# symbols whose image ends one non-uniform cut sums at a time: their int64
+# ends take as many bytes as one digit-path pass translates
+_CUT_CHUNK = _PASS_CHUNK // 8
+
 
 class MorphismParseError(ValueError):
     """A morphism spec file could not be parsed; message carries the line number."""
@@ -152,10 +158,16 @@ class FixedPointStream:
                         buf[d::width] = np.frombuffer(src.translate(table), dtype=np.uint8)
                 else:
                     images = [im.symbols for im in self.morphism.images]
-                    # ends[i] = |sigma(buf[:i + 1])|
-                    ends = np.array([len(im) for im in images], dtype=np.int64)[buf]
-                    np.cumsum(ends, out=ends)
-                    m = min(int(np.searchsorted(ends, n)) + 1, len(buf))
+                    lengths = np.array([len(im) for im in images], dtype=np.int64)
+                    # m, the shortest prefix whose image reaches n, found a
+                    # chunk at a time: ends[i] = |sigma(buf[start:start + i + 1])|
+                    m, reached = len(buf), 0
+                    for start in range(0, len(buf), _CUT_CHUNK):
+                        ends = np.cumsum(lengths[buf[start : start + _CUT_CHUNK]])
+                        if reached + ends[-1] >= n:
+                            m = start + int(np.searchsorted(ends, n - reached)) + 1
+                            break
+                        reached += int(ends[-1])
                     del ends
                     # symbols and images stay below MAX_LETTERS = 16, so
                     # marker 128 + s stands for letter s until its image replaces it
@@ -174,10 +186,6 @@ class FixedPointStream:
 
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, bytes(self.array(n)))
-
-
-# states one digit-path pass translates at a time, about the size of a core's cache
-_PASS_CHUNK = 1 << 20
 
 
 def _translate(view: np.ndarray, table: bytes) -> None:

@@ -4,9 +4,33 @@ from __future__ import annotations
 
 import json
 import time
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+
+
+class Runs:
+    """Sorted integers held as half-open runs [starts[i], stops[i]).
+
+    ``starts`` and ``stops`` are int64 arrays; the length is the count
+    of integers, and iteration yields them in order as Python ints.
+    """
+
+    __slots__ = ("starts", "stops", "_len")
+
+    def __init__(self, starts, stops):
+        self.starts = starts
+        self.stops = stops
+        self._len = int((stops - starts).sum())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(map(range, self.starts.tolist(), self.stops.tolist()))
+
+    def tolist(self) -> list[int]:
+        return list(self)
 
 
 @dataclass
@@ -17,7 +41,8 @@ class VerifyReport:
     capped by the producing check; an empty list means the check
     passed.  ``notes`` carries observations that are not failures.
     ``gaps``, set only by the gap census, maps each gapped length to
-    every missing digit sum, stored 8 bytes a value as ``array("q")``.
+    its missing digit sums as ``Runs``, two int64 entries per run of
+    consecutive missing values, whatever the number of values.
     """
 
     check: str
@@ -26,7 +51,7 @@ class VerifyReport:
     failures: list[str] = field(default_factory=list)
     elapsed_ms: float = 0.0
     notes: list[str] = field(default_factory=list)
-    gaps: dict[int, array] | None = None
+    gaps: dict[int, Runs] | None = None
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,10 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import block_factors
 from morphic.complexity import FactorScanner
 from morphic.ivp import (
     CENSUS_CAP,
@@ -92,6 +95,41 @@ class TestCodedSums:
         missing = sum(map(len, rep.gaps.values()))
         assert missing > 3_000_000
         assert peak / missing < 16 and held / missing < 12
+
+    def test_wide_census_memory_is_independent_of_the_spread(self):
+        # 3,876,104 missing sums, held as runs between the few attained ones
+        m, seed = preset("tml")
+        tracemalloc.start()
+        try:
+            rep = check_ivp(FixedPointStream(m, seed), Coding(m.alphabet, (0, 5937, 100000)), 1, 12)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, rep.gaps.values())) == 3_876_104
+        assert peak < 4_000_000 and held < 2_000_000
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        name=st.sampled_from(["tml", "sigma3"]),
+        spread=st.sampled_from([3, 3000]),
+        data=st.data(),
+    )
+    def test_gaps_match_brute_force(self, name, spread, data):
+        values = tuple(data.draw(st.lists(st.integers(-spread, spread), min_size=3, max_size=3)))
+        m, seed = preset(name)
+        images = tuple(im.symbols for im in m.images)
+        rep = check_ivp(FixedPointStream(m, seed), Coding(m.alphabet, values), 1, 10)
+        for n in range(1, 11):
+            attained = {sum(values[s] for s in f) for f in block_factors(images, seed, n)}
+            missing = [v for v in range(min(attained), max(attained) + 1) if v not in attained]
+            if missing:
+                assert list(rep.gaps[n]) == missing and len(rep.gaps[n]) == len(missing)
+            else:
+                assert n not in rep.gaps
+        gaps = rep.to_dict()["gaps"]
+        assert gaps.keys() == {str(n) for n in rep.gaps}
+        assert all(type(v) is int for vals in gaps.values() for v in vals)
+        assert all(vals == list(rep.gaps[int(n)]) for n, vals in gaps.items())
 
     def test_range_validation(self, s3):
         with pytest.raises(WordDomainError):
