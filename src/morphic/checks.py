@@ -38,6 +38,7 @@ def verify_additive_formula(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Additive complexity equals 2*floor(log2 n) + 3 on 1..n_max."""
     report = VerifyReport("theorem1", f"1<=n<={n_max}", n_max)
     with timed(report):
+        scanner.window(n_max)  # the largest first: an oversized range stops here
         for n in range(1, n_max + 1):
             expected = additive_complexity_closed_form(n)
             got = scanner.additive_complexity(n)
@@ -50,6 +51,7 @@ def verify_ds_bounds(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """Digit sums of length-n factors fill [n - k - 1, n + k + 1] exactly."""
     report = VerifyReport("ds-bounds", f"1<=n<={n_max}", n_max)
     with timed(report):
+        scanner.window(n_max)  # the largest first: an oversized range stops here
         for n in range(1, n_max + 1):
             k = floor_log2(n)
             expected = frozenset(range(n - k - 1, n + k + 2))
@@ -109,6 +111,7 @@ def verify_swap_reverse_commutation(n_max: int, scanner: FactorScanner) -> Verif
     """
     report = VerifyReport("sigma-tau", f"factors of length 1..{n_max}, c in 0..2", 0)
     with timed(report):
+        scanner.window(n_max)  # the largest first: an oversized range stops here
         m, _ = preset("tml")
         checked = 0
         plus_failures = 0
@@ -140,6 +143,7 @@ def verify_mirror_closure(n_max: int, scanner: FactorScanner) -> VerifyReport:
     """
     report = VerifyReport("mirror-closure", f"factors of length 1..{n_max}, c in 0..2", 0)
     with timed(report):
+        scanner.window(n_max)  # the largest first: an oversized range stops here
         checked = 0
         for n in range(1, n_max + 1):
             for b in scanner.factor_index(n):
@@ -299,6 +303,7 @@ def verify_interior_sums_small(n_max: int, scanner: FactorScanner) -> VerifyRepo
     """
     report = VerifyReport("ivp-small", f"1<=n<={n_max}", 0)
     with timed(report):
+        scanner.window(n_max)  # the largest first: an oversized range stops here
         checked = 0
         for n in range(1, n_max + 1):
             r = scanner.recurrence_index(n)

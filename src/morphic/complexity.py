@@ -8,10 +8,13 @@ factors of fixed points (Allouche & Shallit, *Automatic Sequences*,
 CUP 2003): with K the least power such that every |sigma^K(x)| >= n - 1,
 each length-n factor lies inside sigma^K(ab) for a length-2 factor ab,
 so sigma^K of the shortest prefix holding every length-2 factor holds
-them all.  A morphism with a bounded letter, whose iterated image
-length stops growing, falls back to doubling the window until its set
-of length-n factors stops growing; ``FactorScanner.certified`` tells
-the two routes apart.
+them all.  Digit sums read only the window starts inside sigma^K(a) at
+the first occurrence of each length-2 factor ab, 9 * 2**K of the
+29 * 2**K for ``tml``; the other scans read the whole window.  A
+morphism with a bounded letter, whose iterated image length stops
+growing, falls back to doubling the window until its set of length-n
+factors stops growing; ``FactorScanner.certified`` tells the two routes
+apart.
 
 Each scan over a window is a few numpy passes, with no loop per symbol:
 digit sums and letter counts are differences of cumulative sums, a
@@ -27,8 +30,10 @@ factor-count profile over a window of more than ``PROFILE_CAP``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -118,12 +123,15 @@ class FactorScanner:
         self._pairs = _pair_closure(self._images, stream.seed)
         self._letters = {s for p in self._pairs for s in p}
         self._growth = [[1] * len(self._images)]  # _growth[K][x] = |sigma^K(x)|
+        self._min_lengths = [1]  # min |sigma^K(x)| over the letters of the word
         # A bounded letter's image length is constant from step A on, for
         # A letters; a growing letter's grows within every A steps.
         a = len(self._images)
         self.certified = all(self._lengths(a)[x] < self._lengths(2 * a)[x] for x in self._letters)
         self._window_lengths: dict[int, int] = {}
+        self._blocks: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
         self._ds_cumsum: np.ndarray | None = None
+        self._ds_scratch: np.ndarray | None = None
         self._digit_sums: dict[int, np.ndarray] = {}
         self._letter_cumsums: dict[int, np.ndarray] = {}
         self._profile: np.ndarray | None = None
@@ -147,8 +155,9 @@ class FactorScanner:
         return self.stream.array(length)
 
     @cached_property
-    def _pair_prefix(self) -> list[int]:
-        """Letter counts of the shortest prefix holding every length-2 factor.
+    def _pair_prefix(self) -> tuple[bytes, list[int]]:
+        """The shortest prefix holding every length-2 factor, and the
+        sorted first occurrences of the length-2 factors in it.
 
         A pair added in round r of the closure lies inside
         sigma^r(u0 u1), so scanning those prefixes in turn ends.
@@ -159,26 +168,46 @@ class FactorScanner:
         r = 0
         while True:
             lengths = self._lengths(r)
-            arr = self._prefix(lengths[u0] + lengths[u1]).astype(np.int64)
+            prefix = self._prefix(lengths[u0] + lengths[u1])
+            arr = prefix.astype(np.int64)
             codes, first = np.unique(arr[:-1] * k + arr[1:], return_index=True)
             if len(codes) == len(self._pairs):
-                return np.bincount(arr[: int(first.max()) + 2], minlength=k).tolist()
+                first.sort()
+                return bytes(prefix[: int(first[-1]) + 2]), first.tolist()
             r += 1
 
-    def _certified_length(self, n: int) -> int:
+    def _block_starts(self, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """|sigma^K(p)| for the pair prefix p and the least K with every
-        |sigma^K(x)| >= n - 1.
+        |sigma^K(x)| >= n - 1, and the merged ranges of starts inside
+        sigma^K(p[j]) for each first occurrence j of a pair.
 
         u = sigma^K(u) is a concatenation of blocks sigma^K(x) of length
-        at least n - 1, so every length-n factor lies inside some
-        sigma^K(ab) with ab a length-2 factor, and sigma^K(p) holds them
-        all.  It is a prefix of u, so each of its windows is a factor.
+        at least n - 1, so every length-n factor starts inside some block
+        sigma^K(a) and ends inside the next, sigma^K(b), with ab a
+        length-2 factor.  sigma^K(p) holds sigma^K(ab) at each pair's
+        first occurrence, so windows from those starts hold every
+        length-n factor.  It is a prefix of u, so each of its windows is
+        a factor.
         """
-        K = 0
-        while min(self._lengths(K)[x] for x in self._letters) < n - 1:
-            K += 1
-        lengths = self._lengths(K)
-        return sum(c * lengths[s] for s, c in enumerate(self._pair_prefix))
+        mins = self._min_lengths
+        while mins[-1] < n - 1:
+            mins.append(min(self._lengths(len(mins))[x] for x in self._letters))
+        # Every image holds a letter of the word, so the least block
+        # length never falls as K grows and bisection finds K.
+        K = bisect_left(mins, n - 1)
+        blocks = self._blocks.get(K)
+        if blocks is None:
+            prefix, firsts = self._pair_prefix
+            lengths = self._lengths(K)
+            offsets = [0, *accumulate(lengths[s] for s in prefix)]
+            ranges: list[tuple[int, int]] = []
+            for j in firsts:
+                if ranges and ranges[-1][1] == offsets[j]:
+                    ranges[-1] = (ranges[-1][0], offsets[j + 1])
+                else:
+                    ranges.append((offsets[j], offsets[j + 1]))
+            blocks = self._blocks[K] = (offsets[-1], tuple(ranges))
+        return blocks
 
     def _doubled_length(self, n: int) -> int:
         """Prefix length at which the length-n factor set stops growing.
@@ -192,7 +221,7 @@ class FactorScanner:
 
         # Too short a start stops the doubling early with a wrong answer;
         # the pair prefix at least holds every factor of length 1 and 2.
-        length = max(4096, 64 * n, sum(self._pair_prefix))
+        length = max(4096, 64 * n, len(self._pair_prefix[0]))
         seen = count(length)
         while True:
             more = count(2 * length)
@@ -206,15 +235,18 @@ class FactorScanner:
             raise WordDomainError("factor length must be positive")
         length = self._window_lengths.get(n)
         if length is None:
-            length = self._certified_length(n) if self.certified else self._doubled_length(n)
+            length = self._block_starts(n)[0] if self.certified else self._doubled_length(n)
             self._window_lengths[n] = length
         return self._prefix(length)
 
     def digit_sum_set(self, n: int) -> frozenset[int]:
         """Set of digit sums attained by length-n factors.
 
-        Each length's sums are kept as a sorted array, so checks sharing
-        a scanner scan each length once.
+        A certified window is read only from its block starts (see
+        ``_block_starts``), the fallback window from every start.  The
+        sums go into one scratch buffer reused across lengths, and each
+        length's distinct sums are kept as a sorted array, so checks
+        sharing a scanner scan each length once.
         """
         if n * self._max_value >= 1 << 63:
             raise WordDomainError(f"digit sums of length {n} under this coding overflow int64")
@@ -228,10 +260,23 @@ class FactorScanner:
                 # modulo 2**64, hence exact for sums bounded as above.
                 values = np.array(self._coded, dtype=np.int64)
                 cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(values[window])))
-            vals = cs[n : L + 1] - cs[: L - n + 1]
+            ranges = self._block_starts(n)[1] if self.certified else ((0, L - n + 1),)
+            count = sum(stop - start for start, stop in ranges)
+            if self._ds_scratch is None or len(self._ds_scratch) < count:
+                self._ds_scratch = np.empty(count, dtype=np.int64)
+            vals = self._ds_scratch[:count]
+            at = 0
+            for start, stop in ranges:
+                np.subtract(cs[start + n : stop + n], cs[start:stop], out=vals[at : at + stop - start])
+                at += stop - start
             lo, hi = int(vals.min()), int(vals.max())
-            if hi - lo + 1 <= len(vals):
-                present = np.nonzero(np.bincount(vals - lo))[0] + lo
+            # Counting takes memory in proportion to hi - lo, bounded here by
+            # the window's start count.  Bounding it by the scanned count
+            # would send narrow codings to the plain np.unique, which
+            # imports numpy.ma in numpy 2.x.
+            if hi - lo + 1 <= L - n + 1:
+                vals -= lo
+                present = np.nonzero(np.bincount(vals))[0] + lo
             else:
                 # a wide coding: counting every value in [lo, hi] would
                 # allocate memory in proportion to the spread

@@ -50,6 +50,7 @@ def verify_parikh_prediction(n_to: int, scanner: FactorScanner) -> VerifyReport:
     """Scanned letter-count vectors equal the offset-family prediction, 3 <= n <= n_to."""
     report = VerifyReport("prop4", f"3<=n<={n_to}", max(0, n_to - 2))
     with timed(report):
+        scanner.window(n_to)  # the largest first: an oversized range stops here
         for n in range(3, n_to + 1):
             predicted = predicted_parikh_set(n)
             got = scanner.parikh_set(n)
@@ -82,6 +83,7 @@ def check_ivp(stream: FixedPointStream, coding: Coding | None, n_from: int, n_to
     values = ",".join(map(str, coding.values))
     report = VerifyReport("ivp", f"coding {values}; {n_from}<=n<={n_to}", 0, gaps={})
     with timed(report):
+        sc.window(n_to)  # the largest first: an oversized range stops here
         for n in range(n_from, n_to + 1):
             ds = sc.digit_sum_set(n)
             lo, hi = min(ds), max(ds)

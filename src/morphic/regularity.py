@@ -30,6 +30,7 @@ def verify_additive_recurrence(n_max: int, scanner: FactorScanner) -> VerifyRepo
     """Scanned counts satisfy a(1) = 3 and a(2n) = a(2n+1) = a(n) + 2."""
     report = VerifyReport("additive-recurrence", f"1<=n<={n_max}", 1 + 2 * n_max)
     with timed(report):
+        scanner.window(2 * n_max + 1)  # the largest first: an oversized range stops here
         a = scanner.additive_complexity
         if a(1) != 3:
             record_failure(report, f"a(1) = {a(1)}, expected 3")

@@ -1,5 +1,8 @@
 """The certified factor window, checked against the block-argument oracle."""
 
+import subprocess
+import sys
+
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +73,10 @@ def growing_morphisms(draw):
     images = tuple(bytes(im) for im in images)
     size = window_size(images, N_MAX)
     assume(size is not None and size <= WINDOW_LIMIT)
-    values = tuple(draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)))
+    # narrow codings count sums with bincount from a negative least sum,
+    # wide ones take np.unique
+    bound = draw(st.sampled_from((9, 10**6)))
+    values = tuple(draw(st.lists(st.integers(-bound, bound), min_size=k, max_size=k)))
     return images, values
 
 
@@ -168,6 +174,10 @@ def test_doubling_fallback_doubles_past_its_start():
     prefix = substitute(images, bytes((spec.seed,)), 16)
     assert len(prefix) >= BRUTE_LENGTH
     assert scanner.subword_complexity(12) == len(brute_factors(prefix, 12)) == 60
+    # its digit sums read every start of the window (letters a, b are 0, 1)
+    window = bytes(scanner.window(12))
+    assert scanner.digit_sum_set(12) == {sum(window[i : i + 12]) for i in range(len(window) - 11)}
+    assert len(scanner._ds_scratch) == len(window) - 11
 
 
 def test_fallback_start_reaches_a_late_letter():
@@ -182,6 +192,39 @@ def test_fallback_start_reaches_a_late_letter():
         sums = {b + 2 * c for _, b, c in vectors}
         expected = (len(brute_factors(prefix, row.n)), len(vectors), len(sums), min(sums), max(sums))
         assert (row.rho, row.rho_ab, row.rho_plus, row.ds_min, row.ds_max) == expected, row.n
+
+
+def test_tml_digit_sums_scan_nine_blocks_per_length():
+    # n in (2^(K-1) + 1, 2^K + 1] has block power K: windows start in the
+    # first sigma^K(a) of each of the 9 pairs ab, 9 * 2^K of the 29 * 2^K
+    scanner = FactorScanner(ternary_stream())
+    for n in range(2, 1026):
+        K = (n - 2).bit_length()
+        scanner.digit_sum_set(n)
+        assert len(scanner.window(n)) == 29 << K, n
+        assert len(scanner._ds_scratch) == 9 << K, n
+
+
+def test_narrow_coding_table_leaves_numpy_ma_unloaded():
+    # A plain np.unique imports numpy.ma in numpy 2.x (numpy 1.x loads it
+    # with numpy), which lifts a table run's memory by about 1 MB.  Under
+    # this coding the digit-sum spread stays within the window's start
+    # count, so each length is counted with bincount.
+    code = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from morphic.complexity import build_complexity_table
+from morphic.ivp import sigma3_stream
+from morphic.words import Coding
+stream = sigma3_stream()
+build_complexity_table(stream, 1, 64, coding=Coding(stream.alphabet, (0, 4, 7)))
+print(before, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert before == "True" or after == "False"
 
 
 def test_window_holds_every_factor(tml_scan):

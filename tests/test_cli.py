@@ -22,7 +22,8 @@ def run(capsys, *argv):
 
 
 def run_in_2gb(*argv):
-    """The console script in a child process under a 2 GB address-space limit."""
+    """The console script in a child process under a 2 GB address-space
+    limit; one that runs past the timeout fails instead of hanging."""
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -33,6 +34,7 @@ def run_in_2gb(*argv):
         text=True,
         preexec_fn=limit_memory,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        timeout=120,
     )
 
 
@@ -170,6 +172,34 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "theorem1", "--n-max", n_max)
         assert code == 2 and out == ""
         assert err.startswith("morphic: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["verify", name, "--n-max", "1000000000"]
+                for name in (
+                    "theorem1",
+                    "ds-bounds",
+                    "sigma-tau",
+                    "mirror-closure",
+                    "ivp-small",
+                    "additive-recurrence",
+                    "prop4",
+                    "subword-recurrence",
+                )
+            ),
+            ["ivp", "--n-to", "1000000000"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_oversized_range_is_refused_before_sweeping(self, argv):
+        # each sweep asks for its largest window first; swept length by
+        # length, these ran for hours before a window passed the cap
+        proc = run_in_2gb(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
+        assert "exceeds the cap" in proc.stderr
 
     def test_unknown_check_is_usage_error(self, capsys):
         assert main(["verify", "nope"]) == 2
