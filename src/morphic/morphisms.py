@@ -5,6 +5,11 @@ prefix substitution (FixedPointStream) and direct digit-path
 evaluation (automatic_prefix).  Agreement between the two guards
 every downstream computation against generator bugs.
 
+FixedPointStream rests on u = sigma(u): its buffer always equals sigma
+of its first done symbols, so a step appends sigma of the tail not yet
+substituted.  One substitution serves every morphism: sigma's digit
+tables are padded to the widest image with a fill byte, dropped after.
+
 automatic_prefix never substitutes a word: every letter starts at the
 seed and walks the base-r digits of its own index, most significant
 first.  A fixed point of an r-uniform morphism is also r**c-automatic,
@@ -31,8 +36,8 @@ from .words import (
 
 DEFAULT_LENGTH_CAP = 1 << 30
 
-# translation table taking each symbol s below 128 to the marker byte 128 + s
-_MARKERS = bytes((128 + s) % 256 for s in range(256))
+# pads digit d of an image shorter than d + 1; letters stay below MAX_LETTERS = 16
+_FILL = b"\xff"
 
 PRESET_NAMES = ("tml", "sigma3")
 
@@ -99,11 +104,15 @@ class Morphism:
 
 
 class FixedPointStream:
-    """Lazily materialized prefix of the fixed point of a morphism on a seed.
+    """Lazily materialized prefix of the fixed point u = sigma(u) on a seed.
 
     The morphism must be prolongable on the seed (its image starts with
-    the seed and has length at least 2), which makes every materialized
-    buffer a prefix of the next: already produced letters never change.
+    the seed and has length at least 2).  The stream keeps done, the
+    number of leading symbols already substituted, and its buffer always
+    equals sigma(buffer[:done]); before the first step the buffer is the
+    seed alone, which sigma(seed) starts with.  A step appends sigma of
+    the unsubstituted tail buffer[done:], so every symbol is substituted
+    once over the stream's life and produced letters never change.
     Extension is serialized by a lock; snapshots handed out by array()
     are read-only views and remain valid across later extensions.
     """
@@ -115,15 +124,20 @@ class FixedPointStream:
             raise WordDomainError("morphism is not prolongable on the requested seed")
         self.morphism = morphism
         self.seed = seed
-        width = morphism.uniform_width
-        # for a uniform morphism, tables[d] translates s to digit d of sigma(s)
-        self._tables = None
-        if width is not None:
-            self._tables = [
-                bytes(im.symbols[d] for im in morphism.images).ljust(256, b"\0")
-                for d in range(width)
-            ]
-        self._buf = np.array([seed], dtype=np.uint8)
+        images = [im.symbols for im in morphism.images]
+        self._width = max(map(len, images))
+        # tables[d] translates s to digit d of sigma(s), or to _FILL past its end
+        self._tables = [
+            b"".join(im[d : d + 1] or _FILL for im in images).ljust(256, b"\0")
+            for d in range(self._width)
+        ]
+        # image lengths for the cut, None when every image is width symbols long
+        self._lengths = None
+        if morphism.uniform_width is None:
+            self._lengths = np.array([len(im) for im in images], dtype=np.int64)
+        # read-only, over bytes that no later step writes to
+        self._buf = np.frombuffer(bytes([seed]), dtype=np.uint8)
+        self._done = 0
         self._lock = threading.Lock()
 
     @property
@@ -134,12 +148,38 @@ class FixedPointStream:
     def materialized(self) -> int:
         return len(self._buf)
 
+    def _cut(self, tail: bytes, need: int) -> int:
+        """Fewest leading symbols of tail whose image has at least need
+        symbols, or all of tail when its whole image is shorter."""
+        if len(tail) * self._width <= need:
+            return len(tail)
+        if self._lengths is None:
+            return -(-need // self._width)
+        # ends[i] = |sigma(tail[start:start + i + 1])|, a chunk at a time
+        symbols = np.frombuffer(tail, dtype=np.uint8)
+        reached = 0
+        for start in range(0, len(tail), _CUT_CHUNK):
+            ends = np.cumsum(self._lengths[symbols[start : start + _CUT_CHUNK]])
+            if reached + ends[-1] >= need:
+                return start + int(np.searchsorted(ends, need - reached)) + 1
+            reached += int(ends[-1])
+        return len(tail)
+
+    def _substitute(self, word: bytes) -> bytearray:
+        """sigma(word): digit d of every image at stride position d, less the fill."""
+        width = self._width
+        out = bytearray(len(word) * width)
+        for d, table in enumerate(self._tables):
+            out[d::width] = word.translate(table)
+        return out if self._lengths is None else out.translate(None, _FILL)
+
     def ensure(self, n: int) -> None:
         """Materialize at least the first n symbols.
 
-        Each step applies the morphism only to the shortest prefix whose
-        image reaches n, so fewer than n + max|sigma(x)| symbols are
-        materialized for the largest request n.
+        Each step appends sigma(buffer[done:]); the last one substitutes
+        only the fewest tail symbols whose image reaches n, so fewer than
+        n + max|sigma(x)| symbols are materialized for the largest
+        request n.
         """
         if n < 0:
             raise WordDomainError(f"prefix length {n} is negative")
@@ -148,41 +188,32 @@ class FixedPointStream:
         if n > DEFAULT_LENGTH_CAP:
             raise ResourceLimitError(f"prefix request {n} exceeds cap {DEFAULT_LENGTH_CAP}")
         with self._lock:
-            buf = self._buf
-            while len(buf) < n:
-                if self._tables is not None:
-                    width = len(self._tables)
-                    src = buf[: (n + width - 1) // width].tobytes()
-                    buf = np.empty(len(src) * width, dtype=np.uint8)
-                    for d, table in enumerate(self._tables):
-                        buf[d::width] = np.frombuffer(src.translate(table), dtype=np.uint8)
-                else:
-                    images = [im.symbols for im in self.morphism.images]
-                    lengths = np.array([len(im) for im in images], dtype=np.int64)
-                    # m, the shortest prefix whose image reaches n, found a
-                    # chunk at a time: ends[i] = |sigma(buf[start:start + i + 1])|
-                    m, reached = len(buf), 0
-                    for start in range(0, len(buf), _CUT_CHUNK):
-                        ends = np.cumsum(lengths[buf[start : start + _CUT_CHUNK]])
-                        if reached + ends[-1] >= n:
-                            m = start + int(np.searchsorted(ends, n - reached)) + 1
-                            break
-                        reached += int(ends[-1])
-                    del ends
-                    # symbols and images stay below MAX_LETTERS = 16, so
-                    # marker 128 + s stands for letter s until its image replaces it
-                    out = buf[:m].tobytes().translate(_MARKERS)
-                    for s, im in enumerate(images):
-                        out = out.replace(_MARKERS[s : s + 1], im)
-                    buf = np.frombuffer(out, dtype=np.uint8)
-            self._buf = buf
+            buf, done = self._buf, self._done
+            if n <= len(buf):  # extended by another thread meanwhile
+                return
+            pieces, total, tail = [buf], len(buf), buf[done:].tobytes()
+            while total < n:
+                # on the first step the seed already stands for sigma(seed)'s first symbol
+                lead = int(done == 0)
+                k = self._cut(tail, n - total + lead)
+                piece = self._substitute(tail if k == len(tail) else tail[:k])
+                del piece[:lead]
+                done += k
+                total += len(piece)
+                pieces.append(piece)
+                # a bounded letter's image length settles, so a slowly growing
+                # stream appends pieces of one length: merge equal neighbours,
+                # binary-counter style, to hold O(log n) of them; never the head
+                while len(pieces) > 2 and len(pieces[-1]) == len(pieces[-2]):
+                    pieces[-2:] = [pieces[-2] + pieces[-1]]
+                tail = piece
+            self._buf = np.frombuffer(b"".join(pieces), dtype=np.uint8)
+            self._done = done
 
     def array(self, n: int) -> np.ndarray:
         """Read-only snapshot of the first n symbols."""
         self.ensure(n)
-        view = self._buf[:n].view()
-        view.setflags(write=False)
-        return view
+        return self._buf[:n]
 
     def prefix(self, n: int) -> Word:
         return Word(self.alphabet, bytes(self.array(n)))

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from .complexity import FactorScanner
 from .reports import VerifyReport, record_failure, timed
-from .words import WordDomainError
+from .words import ResourceLimitError, WordDomainError
 
 # Largest power e of the swept subsequences a(2^e n + c).
 KERNEL_E_MAX = 6
+# Longest kernel sample: 127 subsequences of 2^17 terms are about 16.6M tuples.
+KERNEL_T_MAX = 1 << 17
 # The closed form is cross-checked against window scans on 1..CROSS_CHECK_N.
 CROSS_CHECK_N = 512
 
@@ -47,8 +49,11 @@ def verify_kernel_affine(T: int, scanner: FactorScanner) -> VerifyReport:
 
     The sweep runs on the closed form, which is first cross-checked
     against window scans on 1..CROSS_CHECK_N, so it never rests on the
-    formula alone.
+    formula alone.  A sample longer than KERNEL_T_MAX is refused before
+    the cross-check.
     """
+    if T > KERNEL_T_MAX:
+        raise ResourceLimitError(f"kernel sample length {T} exceeds the cap of {KERNEL_T_MAX}")
     elements = sum(1 << e for e in range(KERNEL_E_MAX + 1))
     report = VerifyReport("kernel", f"e<={KERNEL_E_MAX}, 1<=n<={T}", elements * T)
     with timed(report):

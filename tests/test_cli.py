@@ -98,6 +98,33 @@ class TestGenerate:
         assert proc.returncode == 0, proc.stderr
         assert out.read_text() == "0" + "1" * 9_000_000 + "\n"
 
+    def test_slow_growth_is_linear_in_2gb(self, tmp_path):
+        # each step adds one symbol; re-substituting the whole prefix per
+        # step took quadratic time, past the timeout at this length
+        f = tmp_path / "m.txt"
+        f.write_text("a -> ab\nb -> b\n")
+        out = tmp_path / "w.txt"
+        proc = run_in_2gb("generate", "--morphism", str(f), "--length", "200000", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text() == "a" + "b" * 199_999 + "\n"
+
+    @pytest.mark.parametrize(
+        "text, extra",
+        [
+            ("".join(f"{chr(97 + i)} -> {chr(97 + i)}a\n" for i in range(17)), []),
+            ("a -> a\nb -> ab\n", []),
+            ("a -> ba\nb -> ab\n", []),
+            ("a -> ab\nb -> ba\n", ["--seed", "z"]),
+        ],
+        ids=["17-letters", "seed-image-of-length-1", "seed-image-not-led-by-seed", "unknown-seed"],
+    )
+    def test_hostile_morphism_file_is_usage_error(self, tmp_path, text, extra):
+        f = tmp_path / "m.txt"
+        f.write_text(text)
+        proc = run_in_2gb("generate", "--morphism", str(f), "--length", "8", *extra)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "generate", "--morphism", "/no/such/file", "--length", "4")
         assert code == 2 and "morphic:" in err
@@ -187,6 +214,7 @@ class TestVerify:
                     "additive-recurrence",
                     "prop4",
                     "subword-recurrence",
+                    "kernel",
                 )
             ),
             ["ivp", "--n-to", "1000000000"],

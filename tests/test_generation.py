@@ -160,3 +160,13 @@ def test_uniform_stream_peak_memory():
     m, seed = preset("tml")
     n = 1 << 22
     assert peak_bytes_per_symbol(lambda: FixedPointStream(m, seed).array(n), n) < 3
+
+
+def test_slow_growth_stream_peak_memory():
+    # a -> ab, b -> b adds one symbol per step; the steps' pieces are merged
+    # as they settle at one length, so memory stays linear
+    spec = parse_morphism_spec("a -> ab\nb -> b\n")
+    stream = FixedPointStream(spec.morphism, spec.seed)
+    n = 100_000
+    assert peak_bytes_per_symbol(lambda: stream.array(n), n) < 4
+    assert stream.array(n).tobytes() == b"\x00" + b"\x01" * (n - 1)

@@ -82,6 +82,22 @@ class TestFixedPointStream:
         tml.ensure(1 << 15)
         assert (snap == before).all()
 
+    @pytest.mark.parametrize("text", [None, "a -> abbc\nb -> c\nc -> ab\n"], ids=["tml", "abbc-c-ab"])
+    def test_snapshots_survive_extension(self, text):
+        if text is None:
+            m, seed = preset("tml")
+        else:
+            spec = parse_morphism_spec(text)
+            m, seed = spec.morphism, spec.seed
+        s = FixedPointStream(m, seed)
+        snaps = {n: s.array(n) for n in (0, 1, 7, 100, 5000)}
+        before = {n: snap.tobytes() for n, snap in snaps.items()}
+        s.ensure(1 << 16)
+        for n, snap in snaps.items():
+            assert not snap.flags.writeable
+            assert len(snap) == n and snap.tobytes() == before[n]
+        assert s.array(5000).tobytes() == before[5000]
+
     def test_requires_prolongable_seed(self):
         m = Morphism(TERN, (word("10"), word("12"), word("20")))
         with pytest.raises(WordDomainError):
