@@ -7,8 +7,9 @@ every downstream computation against generator bugs.
 
 FixedPointStream rests on u = sigma(u): its buffer always equals sigma
 of its first done symbols, so a step appends sigma of the tail not yet
-substituted.  One substitution serves every morphism: sigma's digit
-tables are padded to the widest image with a fill byte, dropped after.
+substituted, and every symbol is substituted once.  A uniform image is
+written digit by digit at strided positions; non-uniform images replace
+marker bytes, so either costs time in proportion to the image.
 
 automatic_prefix never substitutes a word: every letter starts at the
 seed and walks the base-r digits of its own index, most significant
@@ -36,8 +37,9 @@ from .words import (
 
 DEFAULT_LENGTH_CAP = 1 << 30
 
-# pads digit d of an image shorter than d + 1; letters stay below MAX_LETTERS = 16
-_FILL = b"\xff"
+# marker byte 128 + s stands for letter s while a non-uniform image replaces
+# it; letters and images stay below MAX_LETTERS = 16
+_MARKERS = bytes((128 + s) % 256 for s in range(256))
 
 PRESET_NAMES = ("tml", "sigma3")
 
@@ -109,12 +111,12 @@ class FixedPointStream:
     The morphism must be prolongable on the seed (its image starts with
     the seed and has length at least 2).  The stream keeps done, the
     number of leading symbols already substituted, and its buffer always
-    equals sigma(buffer[:done]); before the first step the buffer is the
-    seed alone, which sigma(seed) starts with.  A step appends sigma of
-    the unsubstituted tail buffer[done:], so every symbol is substituted
-    once over the stream's life and produced letters never change.
-    Extension is serialized by a lock; snapshots handed out by array()
-    are read-only views and remain valid across later extensions.
+    equals sigma(buffer[:done]), from sigma(seed) with done = 1 on.  A
+    step appends sigma of the unsubstituted tail buffer[done:], so every
+    symbol is substituted once over the stream's life and produced
+    letters never change.  Extension is serialized by a lock; snapshots
+    handed out by array() are read-only views and remain valid across
+    later extensions.
     """
 
     def __init__(self, morphism: Morphism, seed: int):
@@ -124,20 +126,19 @@ class FixedPointStream:
             raise WordDomainError("morphism is not prolongable on the requested seed")
         self.morphism = morphism
         self.seed = seed
-        images = [im.symbols for im in morphism.images]
-        self._width = max(map(len, images))
-        # tables[d] translates s to digit d of sigma(s), or to _FILL past its end
-        self._tables = [
-            b"".join(im[d : d + 1] or _FILL for im in images).ljust(256, b"\0")
-            for d in range(self._width)
-        ]
-        # image lengths for the cut, None when every image is width symbols long
-        self._lengths = None
-        if morphism.uniform_width is None:
-            self._lengths = np.array([len(im) for im in images], dtype=np.int64)
+        self._images = [im.symbols for im in morphism.images]
+        self._width = morphism.uniform_width
+        self._widest = max(map(len, self._images))
+        if self._width is not None:
+            # tables[d] translates s to digit d of sigma(s)
+            self._tables = [
+                bytes(im[d] for im in self._images).ljust(256, b"\0") for d in range(self._width)
+            ]
+        else:
+            self._lengths = np.array([len(im) for im in self._images], dtype=np.int64)
         # read-only, over bytes that no later step writes to
-        self._buf = np.frombuffer(bytes([seed]), dtype=np.uint8)
-        self._done = 0
+        self._buf = np.frombuffer(self._images[seed], dtype=np.uint8)
+        self._done = 1
         self._lock = threading.Lock()
 
     @property
@@ -148,30 +149,35 @@ class FixedPointStream:
     def materialized(self) -> int:
         return len(self._buf)
 
-    def _cut(self, tail: bytes, need: int) -> int:
+    def _cut(self, tail: np.ndarray, need: int) -> int:
         """Fewest leading symbols of tail whose image has at least need
         symbols, or all of tail when its whole image is shorter."""
-        if len(tail) * self._width <= need:
+        if len(tail) * self._widest < need:
             return len(tail)
-        if self._lengths is None:
+        if self._width is not None:
             return -(-need // self._width)
         # ends[i] = |sigma(tail[start:start + i + 1])|, a chunk at a time
-        symbols = np.frombuffer(tail, dtype=np.uint8)
         reached = 0
         for start in range(0, len(tail), _CUT_CHUNK):
-            ends = np.cumsum(self._lengths[symbols[start : start + _CUT_CHUNK]])
+            ends = np.cumsum(self._lengths[tail[start : start + _CUT_CHUNK]])
             if reached + ends[-1] >= need:
                 return start + int(np.searchsorted(ends, need - reached)) + 1
             reached += int(ends[-1])
         return len(tail)
 
-    def _substitute(self, word: bytes) -> bytearray:
-        """sigma(word): digit d of every image at stride position d, less the fill."""
-        width = self._width
-        out = bytearray(len(word) * width)
+    def _substitute(self, word: bytes, out: np.ndarray) -> int:
+        """Write sigma(word) at the start of out and return its length."""
+        if self._width is None:
+            image = word.translate(_MARKERS)
+            for s, im in enumerate(self._images):
+                image = image.replace(_MARKERS[s : s + 1], im)
+            out[: len(image)] = np.frombuffer(image, dtype=np.uint8)
+            return len(image)
+        # digit d of every image at stride position d
+        end = len(word) * self._width
         for d, table in enumerate(self._tables):
-            out[d::width] = word.translate(table)
-        return out if self._lengths is None else out.translate(None, _FILL)
+            out[d : end : self._width] = np.frombuffer(word.translate(table), dtype=np.uint8)
+        return end
 
     def ensure(self, n: int) -> None:
         """Materialize at least the first n symbols.
@@ -179,7 +185,7 @@ class FixedPointStream:
         Each step appends sigma(buffer[done:]); the last one substitutes
         only the fewest tail symbols whose image reaches n, so fewer than
         n + max|sigma(x)| symbols are materialized for the largest
-        request n.
+        request n >= 1.
         """
         if n < 0:
             raise WordDomainError(f"prefix length {n} is negative")
@@ -191,24 +197,18 @@ class FixedPointStream:
             buf, done = self._buf, self._done
             if n <= len(buf):  # extended by another thread meanwhile
                 return
-            pieces, total, tail = [buf], len(buf), buf[done:].tobytes()
+            # every step but the last ends before n, and the last less than
+            # one image past it, so each step writes its image in place
+            out = np.empty(n + self._widest - 1, dtype=np.uint8)
+            total = len(buf)
+            out[:total] = buf
             while total < n:
-                # on the first step the seed already stands for sigma(seed)'s first symbol
-                lead = int(done == 0)
-                k = self._cut(tail, n - total + lead)
-                piece = self._substitute(tail if k == len(tail) else tail[:k])
-                del piece[:lead]
+                tail = out[done:total]
+                k = self._cut(tail, n - total)
+                total += self._substitute(tail[:k].tobytes(), out[total:])
                 done += k
-                total += len(piece)
-                pieces.append(piece)
-                # a bounded letter's image length settles, so a slowly growing
-                # stream appends pieces of one length: merge equal neighbours,
-                # binary-counter style, to hold O(log n) of them; never the head
-                while len(pieces) > 2 and len(pieces[-1]) == len(pieces[-2]):
-                    pieces[-2:] = [pieces[-2] + pieces[-1]]
-                tail = piece
-            self._buf = np.frombuffer(b"".join(pieces), dtype=np.uint8)
-            self._done = done
+            out.setflags(write=False)
+            self._buf, self._done = out[:total], done
 
     def array(self, n: int) -> np.ndarray:
         """Read-only snapshot of the first n symbols."""

@@ -87,10 +87,11 @@ class TestGenerate:
         assert code == 2 and out == ""
         assert err.startswith("morphic: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("ones", [3000, 2000])
+    @pytest.mark.parametrize("ones", [3000, 2000, 2])
     def test_long_image_prefix_fits_in_2gb(self, tmp_path, ones):
         # 0 -> 0 1^2999, 1 -> 1^ones: one whole step past 9*10^6 symbols
-        # would ask for more than 10^10
+        # would ask for more than 10^10, and padding every image to the
+        # widest would ask for 1500 times the output at ones = 2
         f = tmp_path / "m.txt"
         f.write_text(f"0 -> 0{'1' * 2999}\n1 -> {'1' * ones}\n")
         out = tmp_path / "w.txt"
