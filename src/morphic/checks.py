@@ -156,6 +156,27 @@ def verify_mirror_closure(n_max: int, scanner: FactorScanner) -> VerifyReport:
     return report
 
 
+# symbols counted at a time, so that no comparison is as long as a prefix
+_COUNT_CHUNK = 1 << 20
+
+
+def _running_differences(stream: FixedPointStream, heights: list[int]) -> list[int]:
+    """#2 - #0 in the length-2^l prefix of stream, for rising heights l.
+
+    The stream is asked once, for its longest prefix; each height adds
+    the symbols [2^l_prev, 2^l) to a running count, a chunk at a time.
+    """
+    word = stream.array(1 << heights[-1])
+    diffs, counted, start = [], 0, 0
+    for l in heights:
+        for lo in range(start, 1 << l, _COUNT_CHUNK):
+            part = word[lo : min(lo + _COUNT_CHUNK, 1 << l)]
+            counted += int(np.count_nonzero(part == 2)) - int(np.count_nonzero(part == 0))
+        diffs.append(counted)
+        start = 1 << l
+    return diffs
+
+
 def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
     """Letter-count balance of substitution powers of the two letter families.
 
@@ -164,7 +185,9 @@ def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
     routes must agree: letter counting on sigma^l(x), which is the
     length-2^l prefix of the fixed point on x since the substitution is
     prolongable on every letter, and an exact integer power of the
-    per-letter incidence matrix.
+    per-letter incidence matrix.  Each letter's stream is read once, up
+    to its largest height, and dropped before the next letter's is
+    built, so one prefix of at most 2^l_max symbols is alive at a time.
     """
     if l_max > 26:
         raise ResourceLimitError("powers beyond 2^26 symbols; lower l_max")
@@ -173,20 +196,17 @@ def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
         m, _ = preset("tml")
         incidence = ((1, 0, 1), (1, 1, 0), (0, 1, 1))
         power = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-        sweeps = {letter: [] for letter in range(3)}  # letter -> [(l, expected, matrix route)]
+        sweeps = {}  # letter -> [(l, expected, matrix route)]
         for l in range(l_max + 1):
             for letter, expected in ((surplus_letter(l), 1), (balanced_letter(l), 0)):
-                sweeps[letter].append((l, expected, power[2][letter] - power[0][letter]))
+                sweeps.setdefault(letter, []).append((l, expected, power[2][letter] - power[0][letter]))
             power = [
                 [sum(incidence[i][t] * power[t][j] for t in range(3)) for j in range(3)]
                 for i in range(3)
             ]
-        # letters outermost, so that one stream's long prefix is alive at a time
-        for letter, sweep in sweeps.items():
-            stream = FixedPointStream(m, letter)
-            for l, expected, exact in sweep:
-                word = stream.array(1 << l)
-                counted = int(np.count_nonzero(word == 2) - np.count_nonzero(word == 0))
+        for letter, sweep in sorted(sweeps.items()):
+            diffs = _running_differences(FixedPointStream(m, letter), [l for l, _, _ in sweep])
+            for (l, expected, exact), counted in zip(sweep, diffs):
                 if counted != expected:
                     record_failure(report, f"l={l}, letter={letter}: counted diff {counted}, expected {expected}")
                 if exact != counted:

@@ -6,10 +6,12 @@ evaluation (automatic_prefix).  Agreement between the two guards
 every downstream computation against generator bugs.
 
 FixedPointStream rests on u = sigma(u): its buffer always equals sigma
-of its first done symbols, so a step appends sigma of the tail not yet
-substituted, and every symbol is substituted once.  A uniform image is
-written digit by digit at strided positions; non-uniform images replace
-marker bytes, so either costs time in proportion to the image.
+of its first done symbols, so a step appends sigma of the next symbols
+not yet substituted, at most one chunk of them, and every symbol is
+substituted once.  A prefix of n symbols therefore costs one buffer of
+about n bytes plus one chunk and its image.  A uniform image is written
+digit by digit at strided positions; non-uniform images replace marker
+bytes, so either costs time in proportion to the image.
 
 automatic_prefix never substitutes a word: every letter starts at the
 seed and walks the base-r digits of its own index, most significant
@@ -45,8 +47,8 @@ PRESET_NAMES = ("tml", "sigma3")
 
 # states one digit-path pass translates at a time, about the size of a core's cache
 _PASS_CHUNK = 1 << 20
-# symbols whose image ends one non-uniform cut sums at a time: their int64
-# ends take as many bytes as one digit-path pass translates
+# tail symbols one stream step substitutes at most: their int64 image ends
+# take as many bytes as one digit-path pass translates
 _CUT_CHUNK = _PASS_CHUNK // 8
 
 
@@ -112,11 +114,11 @@ class FixedPointStream:
     the seed and has length at least 2).  The stream keeps done, the
     number of leading symbols already substituted, and its buffer always
     equals sigma(buffer[:done]), from sigma(seed) with done = 1 on.  A
-    step appends sigma of the unsubstituted tail buffer[done:], so every
-    symbol is substituted once over the stream's life and produced
-    letters never change.  Extension is serialized by a lock; snapshots
-    handed out by array() are read-only views and remain valid across
-    later extensions.
+    step appends sigma of at most _CUT_CHUNK symbols of the unsubstituted
+    tail buffer[done:], so every symbol is substituted once over the
+    stream's life and produced letters never change.  Extension is
+    serialized by a lock; snapshots handed out by array() are read-only
+    views and remain valid across later extensions.
     """
 
     def __init__(self, morphism: Morphism, seed: int):
@@ -156,14 +158,9 @@ class FixedPointStream:
             return len(tail)
         if self._width is not None:
             return -(-need // self._width)
-        # ends[i] = |sigma(tail[start:start + i + 1])|, a chunk at a time
-        reached = 0
-        for start in range(0, len(tail), _CUT_CHUNK):
-            ends = np.cumsum(self._lengths[tail[start : start + _CUT_CHUNK]])
-            if reached + ends[-1] >= need:
-                return start + int(np.searchsorted(ends, need - reached)) + 1
-            reached += int(ends[-1])
-        return len(tail)
+        # ends[i] = |sigma(tail[:i + 1])|
+        ends = np.cumsum(self._lengths[tail])
+        return min(len(tail), int(np.searchsorted(ends, need)) + 1)
 
     def _substitute(self, word: bytes, out: np.ndarray) -> int:
         """Write sigma(word) at the start of out and return its length."""
@@ -182,10 +179,11 @@ class FixedPointStream:
     def ensure(self, n: int) -> None:
         """Materialize at least the first n symbols.
 
-        Each step appends sigma(buffer[done:]); the last one substitutes
-        only the fewest tail symbols whose image reaches n, so fewer than
-        n + max|sigma(x)| symbols are materialized for the largest
-        request n >= 1.
+        Each step appends sigma of the next tail symbols, at most
+        _CUT_CHUNK of them; the last one substitutes only the fewest
+        whose image reaches n, so fewer than n + max|sigma(x)| symbols
+        are materialized for the largest request n >= 1, and no step
+        holds more than one chunk and its image beside the buffer.
         """
         if n < 0:
             raise WordDomainError(f"prefix length {n} is negative")
@@ -203,7 +201,7 @@ class FixedPointStream:
             total = len(buf)
             out[:total] = buf
             while total < n:
-                tail = out[done:total]
+                tail = out[done : min(total, done + _CUT_CHUNK)]
                 k = self._cut(tail, n - total)
                 total += self._substitute(tail[:k].tobytes(), out[total:])
                 done += k

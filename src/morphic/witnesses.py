@@ -120,31 +120,35 @@ def witness(n: int) -> WitnessDecomposition:
     return WitnessDecomposition(n, k, bits, left, right, whole)
 
 
+# a word in which every ordered letter pair occurs:
+# 00 01 11 12 22 20 02 21 10
+_ALL_PAIRS = (0, 0, 1, 1, 2, 2, 0, 2, 1, 0)
+
+
 @lru_cache(maxsize=32)
-def letter_pair_haystacks(K: int) -> tuple[bytes, ...]:
-    """sigma^K(xy) for all nine ordered letter pairs xy."""
-    return tuple(
-        sigma_power_bytes(x, K) + sigma_power_bytes(y, K)
-        for x in range(3)
-        for y in range(3)
-    )
+def factor_haystack(K: int) -> bytes:
+    """sigma^K(0011220210), which holds sigma^K(xy) for all nine letter pairs xy."""
+    return b"".join(sigma_power_bytes(x, K) for x in _ALL_PAIRS)
 
 
 def is_factor(u: Word) -> bool:
     """Exact membership test for factors of the doubling fixed point.
 
-    Every adjacent letter pair occurs in the fixed point, and the fixed
-    point is invariant under the substitution, so any factor of length
-    at most 2^K lies inside sigma^K(xy) for some adjacent pair xy.
-    Checking all nine ordered pairs is therefore sound and complete.
+    The fixed point u equals sigma^K(u), a concatenation of blocks
+    sigma^K(x) of length 2^K, so a factor of length at most 2^K + 1
+    lies inside sigma^K(xy) for some letter pair xy.  All nine pairs
+    are factors and all occur in 0011220210, so the factors of length
+    at most 2^K + 1 are exactly the windows of sigma^K(0011220210),
+    and one search there decides membership.
     """
     if not u.alphabet.is_ternary:
         raise WordDomainError("membership test requires the alphabet {0,1,2}")
     data = u.symbols
     if not data:
         return True
-    K = (len(data) - 1).bit_length()
-    return any(data in hay for hay in letter_pair_haystacks(K))
+    # the least K with len(data) <= 2^K + 1
+    K = max(len(data) - 2, 0).bit_length()
+    return data in factor_haystack(K)
 
 
 @lru_cache(maxsize=32)

@@ -76,9 +76,11 @@ class Alphabet:
             raise WordDomainError(f"unknown letter name {name!r}") from None
 
     def render(self, symbols: bytes) -> str:
-        if self.single_char:
-            return "".join(self.names[s] for s in symbols)
-        return ",".join(self.names[s] for s in symbols)
+        # one translate: symbol s becomes its name, followed by a comma
+        # unless every name is one character; the last comma is dropped
+        sep = "" if self.single_char else ","
+        text = symbols.decode("latin-1").translate({s: nm + sep for s, nm in enumerate(self.names)})
+        return text[: len(text) - len(sep)]
 
     def parse(self, text: str) -> bytes:
         text = text.strip()

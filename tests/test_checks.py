@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import morphic.checks as checks
@@ -61,6 +63,34 @@ class TestVerifiers:
 
         monkeypatch.setattr(checks, "FixedPointStream", FlippedStream)
         assert not checks.verify_surplus_balance_counts(10).passed
+
+    def test_surplus_balance_counts_count_each_prefix(self, monkeypatch):
+        # one symbol flipped inside [2^9, 2^10) lies in every prefix of
+        # length 2^l with l >= 10 and in none with l <= 9
+        class FlippedStream(FixedPointStream):
+            def array(self, n):
+                word = super().array(n).copy()
+                if n > 700:
+                    word[700] = (word[700] + 1) % 3
+                return word
+
+        monkeypatch.setattr(checks, "FixedPointStream", FlippedStream)
+        rep = checks.verify_surplus_balance_counts(14)
+        failing = {int(line.split(",")[0].removeprefix("l=")) for line in rep.failures}
+        assert failing == set(range(10, 15))
+        # both letters of each failing height, through both routes
+        assert len(rep.failures) == 4 * len(failing)
+
+    def test_surplus_balance_counts_peak_memory(self):
+        # one prefix of 2^22 symbols plus counting chunks, never two prefixes
+        checks.verify_surplus_balance_counts(4)  # imports and small caches first
+        tracemalloc.start()
+        try:
+            checks.verify_surplus_balance_counts(22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22 + 2 * 2**20
 
     @pytest.mark.parametrize("sweep", [checks.verify_witnesses, checks.verify_witness_affixes])
     def test_witness_sweeps_guard(self, sweep):

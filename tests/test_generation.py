@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -150,17 +151,36 @@ def test_automatic_prefix_peak_memory():
     ids=["abbc-c-ab", "ab-c-ca"],
 )
 def test_non_uniform_stream_peak_memory(text, n):
+    # the buffer, plus one chunk's int64 image ends and its marker images
     spec = parse_morphism_spec(text)
     stream = FixedPointStream(spec.morphism, spec.seed)
-    assert peak_bytes_per_symbol(lambda: stream.array(n), n) < 4
+    assert peak_bytes_per_symbol(lambda: stream.array(n), n) < 1 + 3 * 2**20 / n
     images = tuple(im.symbols for im in spec.morphism.images)
     assert stream.array(n).tobytes() == oracle_prefix(images, n)
 
 
 def test_uniform_stream_peak_memory():
-    m, seed = preset("tml")
-    n = 1 << 22
-    assert peak_bytes_per_symbol(lambda: FixedPointStream(m, seed).array(n), n) < 3
+    # one buffer of n symbols plus one chunk, never a prefix-sized temporary
+    n = 1 << 24
+    for name in ("tml", "sigma3"):
+        m, seed = preset(name)
+        assert peak_bytes_per_symbol(lambda: FixedPointStream(m, seed).array(n), n) < 1 + 2 * 2**20 / n, name
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    non_uniform_morphisms() | uniform_cases().map(lambda case: case[0]),
+    st.integers(1, 9),
+    st.lists(st.integers(0, N_MAX), min_size=1, max_size=4),
+)
+def test_chunked_steps_match_substitution(images, chunk, requests):
+    # a chunk of a few symbols makes every request take many capped steps
+    stream = FixedPointStream(morphism_of(images), 0)
+    expected = oracle_prefix(images, max(requests))
+    with mock.patch.object(morphisms, "_CUT_CHUNK", chunk):
+        for n in sorted(requests):
+            assert stream.array(n).tobytes() == expected[:n]
+            assert stream.materialized < max(n, 1) + max(map(len, images))
 
 
 def test_slow_growth_stream_peak_memory():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 from morphic.witnesses import (
     balanced_letter,
     decomposition_haystack,
+    factor_haystack,
     is_factor,
-    letter_pair_haystacks,
     sigma_power_bytes,
     surplus_letter,
     ternary_stream,
@@ -131,10 +132,21 @@ class TestMembership:
     def test_empty_word(self):
         assert is_factor(Word(TERN))
 
-    def test_pair_haystacks(self):
-        hays = letter_pair_haystacks(4)
-        assert len(hays) == 9
-        assert all(len(h) == 32 for h in hays)
+    def test_factor_haystack(self):
+        for K in range(6):
+            hay = factor_haystack(K)
+            assert len(hay) == 10 << K
+            for x in range(3):
+                for y in range(3):
+                    assert sigma_power_bytes(x, K) + sigma_power_bytes(y, K) in hay
+
+    def test_matches_brute_force_factor_sets(self):
+        # every ternary word of length <= 9 against the factors of a long prefix
+        data = ternary_stream().array(1 << 16).tobytes()
+        for n in range(1, 10):
+            factors = {data[i : i + n] for i in range(len(data) - n + 1)}
+            for word in itertools.product(b"\x00\x01\x02", repeat=n):
+                assert is_factor(Word(TERN, bytes(word))) == (bytes(word) in factors)
 
     def test_decomposition_haystack_needs_height(self):
         with pytest.raises(WordDomainError):

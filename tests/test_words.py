@@ -38,6 +38,16 @@ class TestAlphabet:
         assert a.render(b"\x00\x02") == "0,10"
         assert a.parse("10,0") == b"\x02\x00"
 
+    @given(
+        st.sampled_from([("a", "b", "c"), ("x0", "y", "zz2"), ("\u03b1", "\u03b2", "10")]),
+        st.lists(st.integers(0, 2), max_size=30),
+    )
+    def test_render_joins_names(self, names, symbols):
+        a = Alphabet((0, 1, 2), names)
+        sep = "" if a.single_char else ","
+        assert a.render(bytes(symbols)) == sep.join(names[s] for s in symbols)
+        assert a.parse(a.render(bytes(symbols))) == bytes(symbols)
+
     @pytest.mark.parametrize(
         "letters,names",
         [
