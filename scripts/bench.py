@@ -6,8 +6,9 @@
 
 Runs perfbench/run.py, unchanged, as a subprocess: every workload that
 BENCHMARK.json gates, over each seed, on each checkout.  Checkouts take
-turns within a seed and workload, so two rows are compared in
-interleaved pairs and one slow spell of a shared machine hits both.
+turns within a seed and workload, the first of them rotating from seed
+to seed, so two rows are compared in interleaved pairs, neither always
+first, and one slow spell of a shared machine hits both.
 A row holds, per workload, the median and the per-seed values of each
 end-to-end metric, the runs that failed an operation, and the
 environment stamped by run.py's info line: commit, nproc, CPU, Python
@@ -64,9 +65,11 @@ def main() -> int:
     values = {row: {w: {m: [] for m in metrics} for w in workloads} for row in checkouts}
     failed_runs = {row: {w: 0 for w in workloads} for row in checkouts}
     envs: dict[str, dict] = {}
-    for seed in seeds:
+    rotation = list(checkouts.items())
+    for turn, seed in enumerate(seeds):
+        first = turn % len(rotation)
         for workload in workloads:
-            for row, directory in checkouts.items():
+            for row, directory in rotation[first:] + rotation[:first]:
                 info, result = run_once(Path(directory).resolve(), workload, seed, args.seconds)
                 envs.setdefault(row, info["env"])
                 failed_runs[row][workload] += not result["correct"]
