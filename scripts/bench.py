@@ -2,13 +2,14 @@
 """Record the benchmark's end-to-end metrics in BENCH_<label>.json.
 
     python3 scripts/bench.py --label NAME [--checkout ROW=DIR ...]
-        [--seeds 1,2,3,4,5] [--seconds 20]
+        [--seeds 1,2,...,10]
 
 Runs perfbench/run.py, unchanged, as a subprocess: every workload that
 BENCHMARK.json gates, over each seed, on each checkout.  Checkouts take
 turns within a seed and workload, the first of them rotating from seed
 to seed, so two rows are compared in interleaved pairs, neither always
-first, and one slow spell of a shared machine hits both.
+first, and one slow spell of a shared machine hits both.  Each run lasts
+BENCHMARK.json's run_seconds, the same on every checkout.
 A row holds, per workload, the median and the per-seed values of each
 end-to-end metric, the runs that failed an operation, and the
 environment stamped by run.py's info line: commit, nproc, CPU, Python
@@ -49,16 +50,18 @@ def main() -> int:
         "--checkout", action="append", default=[], metavar="ROW=DIR",
         help="a row named ROW measured from the checkout at DIR; repeatable",
     )
-    parser.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated, at least five")
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument(
+        "--seeds", default=",".join(map(str, range(1, 11))), help="comma-separated, at least ten"
+    )
     parser.add_argument("--out-dir", default=str(ROOT), metavar="DIR")
     args = parser.parse_args()
 
     seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) < 5:
-        parser.error("a median needs at least five seeds")
+    if len(seeds) < 10:
+        parser.error("a comparison needs at least ten pairs: give at least ten seeds")
     checkouts = dict(spec.split("=", 1) for spec in args.checkout) or {"change": str(ROOT)}
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
 
@@ -70,7 +73,7 @@ def main() -> int:
         first = turn % len(rotation)
         for workload in workloads:
             for row, directory in rotation[first:] + rotation[:first]:
-                info, result = run_once(Path(directory).resolve(), workload, seed, args.seconds)
+                info, result = run_once(Path(directory).resolve(), workload, seed, seconds)
                 envs.setdefault(row, info["env"])
                 failed_runs[row][workload] += not result["correct"]
                 for m in metrics:
@@ -94,7 +97,7 @@ def main() -> int:
         }
         for row in checkouts
     }
-    record = {"seeds": seeds, "seconds": args.seconds, "trace": 0, "rows": rows}
+    record = {"seeds": seeds, "seconds": seconds, "trace": 0, "rows": rows}
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"written {out}")

@@ -144,8 +144,9 @@ def test_automatic_prefix_peak_memory():
     "text, n",
     [
         ("a -> abbc\nb -> c\nc -> ab\n", 1 << 22),
-        # just past a whole iterate of 6,601,569 symbols, so the last step
-        # cuts a buffer as long as the request
+        # just past a whole iterate of 6,601,569 symbols: the last step cuts
+        # a full chunk of the tail short (130,479 of 131,072 symbols) by its
+        # cumulative image lengths, and ends exactly at n
         ("a -> ab\nb -> c\nc -> ca\n", 6_606_028),
     ],
     ids=["abbc-c-ab", "ab-c-ca"],
