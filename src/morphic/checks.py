@@ -27,6 +27,14 @@ from .witnesses import (
 )
 from .words import ResourceLimitError, Word, WordDomainError, tau
 
+# Longest factor lengths of the sweeps that visit every factor or every
+# start.  Their time grows about fourfold per doubling of n_max; at these
+# caps sigma-tau took 5.4 s, mirror-closure 8.2 s and ivp-small 8.8 s in
+# a fresh process on a 2-vCPU machine.
+SIGMA_TAU_N_MAX = 1 << 7
+MIRROR_CLOSURE_N_MAX = 1 << 8
+IVP_SMALL_N_MAX = 1 << 11
+
 
 def floor_log2(n: int) -> int:
     if n < 1:
@@ -109,9 +117,10 @@ def verify_swap_reverse_commutation(n_max: int, scanner: FactorScanner) -> Verif
     The off-by-one pairing with c+1 is also tried and its failure rate
     recorded as a note, pinning down which pairing is the true one.
     """
+    if n_max > SIGMA_TAU_N_MAX:
+        raise ResourceLimitError(f"factor length {n_max} exceeds the cap of {SIGMA_TAU_N_MAX}")
     report = VerifyReport("sigma-tau", f"factors of length 1..{n_max}, c in 0..2", 0)
     with timed(report):
-        scanner.window(n_max)  # the largest first: an oversized range stops here
         m, _ = preset("tml")
         checked = 0
         plus_failures = 0
@@ -141,9 +150,10 @@ def verify_mirror_closure(n_max: int, scanner: FactorScanner) -> VerifyReport:
     reversal of the factor 011 and never occurs); composing with any
     of the three two-letter swaps does, and that is what is checked.
     """
+    if n_max > MIRROR_CLOSURE_N_MAX:
+        raise ResourceLimitError(f"factor length {n_max} exceeds the cap of {MIRROR_CLOSURE_N_MAX}")
     report = VerifyReport("mirror-closure", f"factors of length 1..{n_max}, c in 0..2", 0)
     with timed(report):
-        scanner.window(n_max)  # the largest first: an oversized range stops here
         checked = 0
         for n in range(1, n_max + 1):
             for b in scanner.factor_index(n):
@@ -243,19 +253,76 @@ def verify_witness_affixes(n_max: int) -> VerifyReport:
     return report
 
 
-def _tech_pair(ub: bytes, i: int, vb: bytes, j: int) -> bool:
-    """One anchored pair: can a forward or backward shift gain exactly 1."""
-    s = 2
-    for m in range(1, 192 - max(i, j)):
-        s += vb[j + m] - ub[i + m]
-        if s == 1:
-            return True
-    s = 0
-    for p in range(1, min(i, j) + 1):
-        s += ub[i - p] - vb[j - p]
-        if s == 1:
-            return True
-    return False
+# Added to a u-walk's sum, and taken from a v-walk's, once its word has
+# ended, so that no gain with an ended walk is 1.
+_ENDED = 1 << 10
+
+
+def _walk_sums(expansions: np.ndarray, rows: np.ndarray, pos: np.ndarray, forward: bool, ended: int) -> np.ndarray:
+    """Running sums of the letters walked from each anchor, step by step.
+
+    Entry [t, a] is the sum of the t + 1 letters after anchor a, or
+    before it walking backward, and ``ended`` once they run out.
+    """
+    length = expansions.shape[1]
+    cs = np.zeros((len(expansions), length + 1), dtype=np.int16)
+    np.cumsum(expansions, axis=1, dtype=np.int16, out=cs[:, 1:])
+    steps = np.arange(1, length)[:, None]
+    if forward:
+        ends = pos + steps
+        sums = cs[rows, np.minimum(ends, length - 1) + 1] - cs[rows, pos + 1]
+        return np.where(ends < length, sums, np.int16(ended))
+    ends = pos - steps
+    sums = cs[rows, pos] - cs[rows, np.maximum(ends, 0)]
+    return np.where(ends >= 0, sums, np.int16(ended))
+
+
+def _shift_gain_misses(
+    expansions: np.ndarray, a_anchors: tuple[np.ndarray, np.ndarray], b_anchors: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor pairs that no forward or backward shift takes to gain exactly 1.
+
+    ``expansions`` holds one word per row; an anchor is a (row, position)
+    pair, given as two arrays.  For u at anchor i and v at anchor j a
+    forward shift by m gains 2 + sum(v[j+1 .. j+m]) - sum(u[i+1 .. i+m])
+    while both words last, and a backward shift by p <= min(i, j) gains
+    sum(u[i-p .. i-1]) - sum(v[j-p .. j-1]).  All pairs walk forward
+    together, one step at a time, and a pair leaves once its gain is 1;
+    the rest then walk backward, until none is left.  Returns the
+    indices into ``a_anchors`` and ``b_anchors`` of the pairs left over,
+    in row-major order.
+    """
+    a = np.repeat(np.arange(len(a_anchors[0])), len(b_anchors[0]))
+    b = np.tile(np.arange(len(b_anchors[0])), len(a_anchors[0]))
+    for forward in (True, False):
+        u = _walk_sums(expansions, *a_anchors, forward, _ENDED)
+        v = _walk_sums(expansions, *b_anchors, forward, -_ENDED)
+        for t in range(len(u)):
+            if not len(a):
+                break
+            gain = 2 + v[t][b] - u[t][a] if forward else u[t][a] - v[t][b]
+            keep = gain != 1
+            a, b = a[keep], b[keep]
+    return a, b
+
+
+def _sweep_shift_gains(report: VerifyReport, expansions: np.ndarray) -> None:
+    """Record every anchor pair of ``expansions`` that no shift takes to gain 1.
+
+    The anchors are the middle-third positions holding 0 (the first
+    word of a pair) or 2 (the second), row by row; failures are recorded
+    in row-major order of the (0-anchor, 2-anchor) pairs.
+    """
+    third = expansions.shape[1] // 3
+    middle = expansions[:, third : 2 * third]
+    a_rows, a_pos = np.nonzero(middle == 0)
+    b_rows, b_pos = np.nonzero(middle == 2)
+    a_pos += third
+    b_pos += third
+    a, b = _shift_gain_misses(expansions, (a_rows, a_pos), (b_rows, b_pos))
+    for i, j in zip(a_pos[a].tolist(), b_pos[b].tolist()):
+        record_failure(report, f"i={i}, j={j}: no shift reaches gain 1")
+    report.tuples_checked = len(a_rows) * len(b_rows)
 
 
 def verify_shift_gain_exhaustive(scanner: FactorScanner) -> VerifyReport:
@@ -276,14 +343,8 @@ def verify_shift_gain_exhaustive(scanner: FactorScanner) -> VerifyReport:
             u = Word(scanner.alphabet, b)
             if not is_factor(u):
                 record_failure(report, f"u={u}: rejected by the pair-context membership test")
-        expansions = [b"".join(sigma_power_bytes(s, 6) for s in u) for u in factors]
-        a_anchors = [(e, i) for e in expansions for i in range(64, 128) if e[i] == 0]
-        b_anchors = [(e, j) for e in expansions for j in range(64, 128) if e[j] == 2]
-        for ub, i in a_anchors:
-            for vb, j in b_anchors:
-                if not _tech_pair(ub, i, vb, j):
-                    record_failure(report, f"i={i}, j={j}: no shift reaches gain 1")
-        report.tuples_checked = len(a_anchors) * len(b_anchors)
+        expanded = b"".join(sigma_power_bytes(s, 6) for u in factors for s in u)
+        _sweep_shift_gains(report, np.frombuffer(expanded, dtype=np.uint8).reshape(len(factors), 192))
     return report
 
 
@@ -321,9 +382,10 @@ def verify_interior_sums_small(n_max: int, scanner: FactorScanner) -> VerifyRepo
     contain all of them, then checks the value set is exactly
     [n - k - 1, n + k + 1] and agrees with the windowed route.
     """
+    if n_max > IVP_SMALL_N_MAX:
+        raise ResourceLimitError(f"factor length {n_max} exceeds the cap of {IVP_SMALL_N_MAX}")
     report = VerifyReport("ivp-small", f"1<=n<={n_max}", 0)
     with timed(report):
-        scanner.window(n_max)  # the largest first: an oversized range stops here
         checked = 0
         for n in range(1, n_max + 1):
             r = scanner.recurrence_index(n)

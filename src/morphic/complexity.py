@@ -20,10 +20,14 @@ Each scan over a window is a few numpy passes, with no loop per symbol:
 digit sums and letter counts are differences of cumulative sums, a
 letter-count vector is folded into one int64 key so that its distinct
 values come from a 1-D ``np.unique``, and the factor counts rho come
-from sorted suffix ranks built by prefix doubling.  The attained digit
-sums of each length are kept, so checks that share a scanner scan each
-length once.  No window may exceed ``WINDOW_CAP`` symbols: a larger one
-raises ResourceLimitError instead of exhausting memory, and so does a
+from sorted suffix ranks built by prefix doubling.  The same ranks name
+each length-n window by one pair of integers, so the factor index takes
+every factor's first occurrence from one ``np.unique`` over the pairs;
+``suffix_order`` gives the sorted suffixes that the membership test in
+``witnesses`` searches.  The attained digit sums of each length are
+kept, so checks that share a scanner scan each length once.  No window
+may exceed ``WINDOW_CAP`` symbols: a larger one raises
+ResourceLimitError instead of exhausting memory, and so does a
 factor-count profile over a window of more than ``PROFILE_CAP``.
 """
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
@@ -46,17 +51,60 @@ WINDOW_CAP = 1 << 26
 PROFILE_CAP = 1 << 21
 
 
-def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
-    """Count distinct substrings of each length 1..n_max of ``data``.
+def prefix_doubling(data: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
+    """Suffix ranks of ``data`` by prefix doubling, one level at a time.
 
     Prefix doubling of suffix ranks (Manber & Myers, *Suffix arrays*,
     SIAM J. Comput. 1993).  Level j ranks every suffix by its first 2**j
     symbols, a suffix that ends sooner ranking below its extensions;
     level j + 1 ranks the pairs of level-j ranks at i and i + 2**j.
-    Doubling stops once 2**j >= n_max or every rank is distinct, so
-    sorting by the top level puts the suffixes that share a prefix of
-    any length n <= n_max next to each other.  The common prefix of two
-    neighbours is found by descending the levels, and
+    Level 0 is ``data`` itself.  Yields levels 0, 1, ... and stops after
+    the first level with 2**j >= n_max or every rank distinct; a caller
+    that keeps only the last level holds one level at a time.
+    """
+    N = len(data)
+    rank = data
+    yield rank
+    h, distinct = 1, 0
+    while h < n_max and distinct < N:
+        # radix: the largest rank + 1, plus 0 for a suffix that has ended
+        radix = int(rank.max()) + 2
+        key = rank.astype(np.int64) * radix
+        tail = key[: max(N - h, 0)]
+        tail += rank[h:]
+        tail += 1
+        # dense ranks of the keys, as np.unique's inverse but in int32
+        # (ranks are below len(data) < 2**31) and at half its peak memory
+        order = np.argsort(key)
+        key = key[order]
+        dense = np.zeros(N, dtype=np.int32)
+        np.cumsum(key[1:] != key[:-1], dtype=np.int32, out=dense[1:])
+        del key
+        distinct = int(dense[-1]) + 1
+        rank = np.empty(N, dtype=np.int32)
+        rank[order] = dense
+        h *= 2
+        yield rank
+
+
+def suffix_order(data: np.ndarray) -> np.ndarray:
+    """Every start of ``data`` as int32, sorted by the suffix there.
+
+    Doubles until every rank is distinct, so the order is the suffix
+    array; only the last level is alive at the end.
+    """
+    for rank in prefix_doubling(data, len(data)):
+        pass
+    return np.argsort(rank).astype(np.int32)
+
+
+def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
+    """Count distinct substrings of each length 1..n_max of ``data``.
+
+    Sorting the suffixes by the top level of ``prefix_doubling`` puts
+    the suffixes that share a prefix of any length n <= n_max next to
+    each other.  The common prefix of two neighbours is found by
+    descending the levels, and
 
         count(n) = #suffixes of length >= n - #neighbours sharing >= n symbols.
 
@@ -66,22 +114,7 @@ def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
     if n_max < 1:
         return np.zeros(0, dtype=np.int64)
     N = len(data)
-    levels = [data]
-    rank = data
-    h, distinct = 1, 0
-    while h < n_max and distinct < N:
-        # radix: the largest rank + 1, plus 0 for a suffix that has ended
-        radix = int(rank.max()) + 2
-        key = rank.astype(np.int64) * radix
-        tail = key[: max(N - h, 0)]
-        tail += rank[h:]
-        tail += 1
-        uniq, inverse = np.unique(key, return_inverse=True)
-        del key
-        distinct = len(uniq)
-        rank = inverse.astype(np.int32)
-        levels.append(rank)
-        h *= 2
+    levels = list(prefix_doubling(data, n_max))
     order = np.argsort(levels[-1])
     left, right = order[:-1], order[1:]
     lcp = np.zeros(len(left), dtype=np.int64)
@@ -136,6 +169,9 @@ class FactorScanner:
         self._letter_cumsums: dict[int, np.ndarray] = {}
         self._profile: np.ndarray | None = None
         self._profile_n_max = 0
+        # [window length, 2**j, prefix_doubling iterator, level j] of the
+        # window whose ranks were asked last
+        self._doubling: list | None = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -351,17 +387,57 @@ class FactorScanner:
             raise WordDomainError("factor length must be positive")
         return int(self.distinct_profile(max(n, self._profile_n_max))[n - 1])
 
-    def factor_index(self, n: int) -> dict[bytes, int]:
-        """Every length-n factor with its first occurrence, in that order."""
-        data = self.window(n).tobytes()
-        first: dict[bytes, int] = {}
-        for i in range(len(data) - n + 1):
-            first.setdefault(data[i : i + n], i)
+    def _rank_level(self, window: np.ndarray, h: int) -> np.ndarray:
+        """The level of ``prefix_doubling(window)`` that ranks by h = 2**j
+        symbols, or an earlier one at which every rank is distinct.
+
+        Only one level of the window asked last is kept; a higher level
+        of the same window resumes its doubling, and a sweep over
+        rising lengths builds each window's levels once.
+        """
+        state = self._doubling
+        if state is None or state[0] != len(window) or state[1] > h:
+            levels = prefix_doubling(window, len(window))
+            state = self._doubling = [len(window), 1, levels, next(levels)]
+        while state[1] < h:
+            rank = next(state[2], None)
+            if rank is None:
+                break
+            state[1] *= 2
+            state[3] = rank
+        return state[3]
+
+    def _first_starts(self, n: int) -> np.ndarray:
+        """Sorted first starts of the distinct length-n windows of ``window(n)``.
+
+        With 2**j <= n < 2**(j + 1), a length-n window is its first and
+        its last 2**j symbols, so the level-j rank pair
+        (r_j[i], r_j[i + n - 2**j]) names the window at i, and one
+        ``np.unique`` finds each name's first start.  A level at which
+        every rank is already distinct names every window by itself.
+        """
+        window = self.window(n)
+        h = 1 << (n.bit_length() - 1)
+        rank = self._rank_level(window, h)
+        starts = len(window) - n + 1
+        key = rank[:starts].astype(np.int64) * (int(rank.max()) + 1)
+        key += rank[n - h : n - h + starts]
+        first = np.unique(key, return_index=True)[1]
+        first.sort()
         return first
+
+    def factor_index(self, n: int) -> dict[bytes, int]:
+        """Every length-n factor with its first occurrence, in that order.
+
+        The first occurrences are ``_first_starts(n)``: one ``np.unique``
+        over rank pairs, with no loop over the window's starts.
+        """
+        data = self.window(n).tobytes()
+        return {data[i : i + n]: i for i in self._first_starts(n).tolist()}
 
     def recurrence_index(self, n: int) -> int:
         """Shortest prefix length containing every length-n factor."""
-        return max(self.factor_index(n).values()) + n
+        return int(self._first_starts(n)[-1]) + n
 
 
 def _pair_closure(images: tuple[bytes, ...], seed: int) -> frozenset[bytes]:

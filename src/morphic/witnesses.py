@@ -16,15 +16,24 @@ between them is evidence, not circularity.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from .complexity import suffix_order
 from .morphisms import FixedPointStream, preset
 from .words import ResourceLimitError, Word, WordDomainError, ternary_alphabet
 
 # Longest witness built.  `morphic witness --format json` peaks at about
 # 21 bytes per symbol (tracemalloc) and reads about 230 MB max RSS here.
 WITNESS_CAP = 1 << 23
+# Longest haystack searched through its suffix order, which keeps 4 bytes
+# per symbol and peaks near 80 (tracemalloc) while it is built.  Longer
+# haystacks, met only by words of more than 16385 symbols and witnesses
+# of 2**17 symbols or more, are scanned linearly, which takes no memory.
+INDEX_CAP = 1 << 18
 
 _TERN = ternary_alphabet()
 
@@ -131,6 +140,40 @@ def factor_haystack(K: int) -> bytes:
     return b"".join(sigma_power_bytes(x, K) for x in _ALL_PAIRS)
 
 
+@lru_cache(maxsize=2)
+def _suffix_order(hay: bytes) -> memoryview:
+    """The int32 suffix array of a haystack; two are kept, no rank levels.
+
+    A memoryview, whose items are Python ints, slices ``hay`` faster
+    than numpy scalars do.
+    """
+    return memoryview(suffix_order(np.frombuffer(hay, dtype=np.uint8)))
+
+
+def _search(hay: bytes, pattern: bytes, least: bool) -> int:
+    """A start of ``pattern`` in ``hay``, the least one if ``least``; -1 if none.
+
+    The starts of the suffixes that begin with the pattern form one run
+    of the suffix order.  A binary search over the suffixes cut to the
+    pattern's length finds the run's first entry, and a second one its
+    end when the least start is asked for.
+    """
+    if len(hay) > INDEX_CAP:
+        return hay.find(pattern)
+    order = _suffix_order(hay)
+    m = len(pattern)
+
+    def cut(i):
+        return hay[i : i + m]
+
+    lo = bisect_left(order, pattern, key=cut)
+    if lo == len(order) or cut(order[lo]) != pattern:
+        return -1
+    if not least:
+        return order[lo]
+    return min(order[lo : bisect_right(order, pattern, lo=lo, key=cut)])
+
+
 def is_factor(u: Word) -> bool:
     """Exact membership test for factors of the doubling fixed point.
 
@@ -138,8 +181,9 @@ def is_factor(u: Word) -> bool:
     sigma^K(x) of length 2^K, so a factor of length at most 2^K + 1
     lies inside sigma^K(xy) for some letter pair xy.  All nine pairs
     are factors and all occur in 0011220210, so the factors of length
-    at most 2^K + 1 are exactly the windows of sigma^K(0011220210),
-    and one search there decides membership.
+    at most 2^K + 1 are exactly the windows of sigma^K(0011220210).
+    One binary search in the sorted suffixes of that haystack decides
+    membership; a haystack over INDEX_CAP symbols is scanned instead.
     """
     if not u.alphabet.is_ternary:
         raise WordDomainError("membership test requires the alphabet {0,1,2}")
@@ -148,7 +192,7 @@ def is_factor(u: Word) -> bool:
         return True
     # the least K with len(data) <= 2^K + 1
     K = max(len(data) - 2, 0).bit_length()
-    return data in factor_haystack(K)
+    return _search(factor_haystack(K), data, least=False) >= 0
 
 
 @lru_cache(maxsize=32)
@@ -162,17 +206,19 @@ def decomposition_haystack(k: int) -> bytes:
 
 
 def witness_occurrence(w: WitnessDecomposition) -> int:
-    """Index of the witness inside its occurrence context.
+    """Least index of the witness inside its occurrence context.
 
     For n = 1 the context is sigma^3(0), the first eight letters of the
-    fixed point.  Raises if the witness does not occur, which would
-    falsify the whole construction.
+    fixed point.  The least start is the smallest entry of the run of
+    the context's suffix order that begins with the witness; a context
+    over INDEX_CAP symbols is scanned instead.  Raises if the witness
+    does not occur, which would falsify the whole construction.
     """
     if w.n == 1:
         hay = sigma_power_bytes(0, 3)
     else:
         hay = decomposition_haystack(w.k)
-    idx = hay.find(w.whole.symbols)
+    idx = _search(hay, w.whole.symbols, least=True)
     if idx < 0:
         raise RuntimeError(f"witness of length {w.n} missing from its occurrence context")
     return idx

@@ -78,6 +78,38 @@ def brute_factors(data: bytes, n: int) -> set[bytes]:
     return {data[i : i + n] for i in range(len(data) - n + 1)}
 
 
+def first_occurrences(data: bytes, n: int) -> dict[bytes, int]:
+    """Every length-n window of data with its first start, in that order."""
+    first: dict[bytes, int] = {}
+    for i in range(len(data) - n + 1):
+        first.setdefault(data[i : i + n], i)
+    return first
+
+
+def tech_pair(ub: bytes, i: int, vb: bytes, j: int) -> bool:
+    """One anchored pair: can a forward or backward shift gain exactly 1."""
+    s = 2
+    for m in range(1, 192 - max(i, j)):
+        s += vb[j + m] - ub[i + m]
+        if s == 1:
+            return True
+    s = 0
+    for p in range(1, min(i, j) + 1):
+        s += ub[i - p] - vb[j - p]
+        if s == 1:
+            return True
+    return False
+
+
+def shift_gain_misses(expansions: list[bytes]) -> tuple[list[tuple[int, int]], int]:
+    """The (i, j) anchor pairs of 192-letter expansions that no shift takes
+    to gain 1, in row-major order, and the number of pairs tried."""
+    a_anchors = [(e, i) for e in expansions for i in range(64, 128) if e[i] == 0]
+    b_anchors = [(e, j) for e in expansions for j in range(64, 128) if e[j] == 2]
+    misses = [(i, j) for ub, i in a_anchors for vb, j in b_anchors if not tech_pair(ub, i, vb, j)]
+    return misses, len(a_anchors) * len(b_anchors)
+
+
 def brute_parikh_set(data: bytes, n: int, size: int = 3) -> set[tuple[int, ...]]:
     out = set()
     for i in range(len(data) - n + 1):

@@ -1,11 +1,16 @@
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import morphic.checks as checks
+import morphic.reports as reports
+from conftest import shift_gain_misses
 from morphic.complexity import FactorScanner
 from morphic.morphisms import FixedPointStream
-from morphic.witnesses import WITNESS_CAP
+from morphic.reports import VerifyReport, record_failure
+from morphic.witnesses import WITNESS_CAP, sigma_power_bytes
 from morphic.words import ResourceLimitError, WordDomainError
 
 
@@ -97,6 +102,18 @@ class TestVerifiers:
         with pytest.raises(ResourceLimitError):
             sweep(WITNESS_CAP + 1)
 
+    @pytest.mark.parametrize(
+        "sweep, cap",
+        [
+            (checks.verify_swap_reverse_commutation, checks.SIGMA_TAU_N_MAX),
+            (checks.verify_mirror_closure, checks.MIRROR_CLOSURE_N_MAX),
+            (checks.verify_interior_sums_small, checks.IVP_SMALL_N_MAX),
+        ],
+    )
+    def test_factor_sweeps_guard(self, scan, sweep, cap):
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            sweep(cap + 1, scan)
+
     def test_witness_affixes(self):
         assert checks.verify_witness_affixes(512).passed
 
@@ -115,3 +132,43 @@ class TestVerifiers:
         rep = checks.verify_subword_recurrence(64, scan)
         assert rep.passed and rep.tuples_checked == 2 + 2 * 62
 
+
+
+class TestShiftGainSweep:
+    """The vectorized tech-lemma sweep against the per-pair scalar oracle."""
+
+    @pytest.fixture(autouse=True)
+    def every_failure_recorded(self, monkeypatch):
+        monkeypatch.setattr(reports, "FAILURE_CAP", 1 << 20)
+
+    @staticmethod
+    def compare(expansions: list[bytes]) -> int:
+        report = VerifyReport("tech-lemma", "", 0)
+        rows = np.frombuffer(b"".join(expansions), dtype=np.uint8).reshape(len(expansions), 192)
+        checks._sweep_shift_gains(report, rows)
+        misses, tried = shift_gain_misses(expansions)
+        expected = VerifyReport("tech-lemma", "", 0)
+        for i, j in misses:
+            record_failure(expected, f"i={i}, j={j}: no shift reaches gain 1")
+        assert report.failures == expected.failures
+        assert report.tuples_checked == tried
+        return len(misses)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_anchors_with_injected_misses(self, seed):
+        rng = random.Random(seed)
+        expansions = [bytes(rng.choices(range(3), k=192)) for _ in range(3)]
+        # a 0-anchor in an all-0 word, or paired with a 2-anchor in an
+        # all-2 word, walks sums that never reach 1
+        injected = bytes(192) if seed % 2 else bytes([2] * 192)
+        expansions.insert(rng.randrange(4), injected)
+        assert self.compare(expansions) >= 64
+
+    @pytest.mark.parametrize(("row", "position", "shift"), [(5, 70, 2), (10, 119, 1)])
+    def test_one_flipped_letter(self, tml_scan, row, position, shift):
+        expansions = [
+            bytearray(b"".join(sigma_power_bytes(s, 6) for s in u)) for u in tml_scan.factor_index(3)
+        ]
+        assert self.compare(list(map(bytes, expansions))) == 0
+        expansions[row][position] = (expansions[row][position] + shift) % 3
+        assert self.compare(list(map(bytes, expansions))) > 0

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_factors, brute_parikh_set
+from conftest import brute_factors, brute_parikh_set, first_occurrences
 from morphic.complexity import (
     FactorScanner,
     build_complexity_table,
     distinct_substring_profile,
 )
-from morphic.morphisms import FixedPointStream, Morphism
+from morphic.ivp import sigma3_stream
+from morphic.morphisms import FixedPointStream, Morphism, parse_morphism_spec
 from morphic.witnesses import ternary_stream
 from morphic.words import Coding, ResourceLimitError, Word, WordDomainError, ternary_alphabet
 
@@ -130,6 +131,39 @@ class TestScanner:
         assert sc.additive_complexity(5) == 1
         assert build_complexity_table(sc.stream, 5, 5).rows[0].evenness == 5
         assert sc.recurrence_index(5) == 5
+
+
+def doubling_fallback_stream() -> FixedPointStream:
+    spec = parse_morphism_spec("a -> aab\nb -> b\n")
+    return FixedPointStream(spec.morphism, spec.seed)
+
+
+class TestFactorIndex:
+    """factor_index and recurrence_index against the per-start loop."""
+
+    @staticmethod
+    def check(scanner: FactorScanner, lengths) -> None:
+        for n in lengths:
+            expected = first_occurrences(scanner.window(n).tobytes(), n)
+            assert list(scanner.factor_index(n).items()) == list(expected.items()), n
+            assert scanner.recurrence_index(n) == max(expected.values()) + n, n
+
+    @pytest.mark.parametrize(
+        "make_stream, lengths",
+        [
+            (ternary_stream, [*range(1, 65), 128, 256]),
+            (sigma3_stream, [*range(1, 65), 128, 256]),
+            # uncertified: windows of the doubling fallback pass a million
+            # symbols beyond n = 16
+            (doubling_fallback_stream, range(1, 17)),
+        ],
+        ids=["tml", "sigma3", "aab"],
+    )
+    def test_matches_the_per_start_loop(self, make_stream, lengths):
+        # rising lengths resume one window's rank levels; falling lengths
+        # start them again at every length
+        self.check(FactorScanner(make_stream()), lengths)
+        self.check(FactorScanner(make_stream()), reversed(lengths))
 
 
 class TestTable:

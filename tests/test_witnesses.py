@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphic.witnesses import (
+    INDEX_CAP,
     balanced_letter,
     decomposition_haystack,
     factor_haystack,
@@ -152,3 +154,48 @@ class TestMembership:
         with pytest.raises(WordDomainError):
             decomposition_haystack(0)
         assert len(decomposition_haystack(3)) == 32
+
+    @pytest.mark.parametrize("K", range(9))
+    def test_accepts_every_haystack_window(self, K):
+        # 0011220210 holds 021 and 210, which are not factors; from K = 1
+        # on every window of both lengths is one
+        rejected = {bytes((0, 2, 1)), bytes((2, 1, 0))}
+        hay = factor_haystack(K)
+        for n in ((1 << K) + 1, (1 << K) + 2):
+            for i in range(len(hay) - n + 1):
+                w = hay[i : i + n]
+                assert is_factor(Word(TERN, w)) == (w not in rejected), (n, i)
+
+    @pytest.mark.parametrize("K", range(9))
+    def test_agrees_with_linear_search(self, K):
+        rng = random.Random(K)
+        outcomes = set()
+        for n in ((1 << K) + 1, (1 << K) + 2):
+            hay = factor_haystack(max(n - 2, 0).bit_length())
+            words = [bytes(rng.choices(range(3), k=n)) for _ in range(100)]
+            # haystack windows as they are, and near misses with one letter changed
+            for _ in range(100):
+                i, p = rng.randrange(len(hay) - n + 1), rng.randrange(n)
+                w = bytearray(hay[i : i + n])
+                words.append(bytes(w))
+                w[p] = (w[p] + rng.randrange(1, 3)) % 3
+                words.append(bytes(w))
+            for w in words:
+                outcomes.add(is_factor(Word(TERN, w)))
+                assert is_factor(Word(TERN, w)) == (w in hay)
+        assert outcomes == {True, False}
+
+    def test_long_words_past_the_index_cap(self, tml):
+        # 20000 symbols need K = 15, a haystack over INDEX_CAP
+        assert len(factor_haystack(15)) > INDEX_CAP
+        data = bytearray(tml.array(1 << 16)[1000:21000].tobytes())
+        assert is_factor(Word(TERN, bytes(data)))
+        data[5000] = (data[5000] + 1) % 3
+        assert is_factor(Word(TERN, bytes(data))) == (bytes(data) in factor_haystack(15))
+
+    def test_occurrence_is_the_least_start(self):
+        w = witness(1)
+        assert witness_occurrence(w) == sigma_power_bytes(0, 3).find(w.whole.symbols)
+        for n in range(2, 4097):
+            w = witness(n)
+            assert witness_occurrence(w) == decomposition_haystack(w.k).find(w.whole.symbols), n
