@@ -46,8 +46,8 @@ from .morphisms import FixedPointStream
 from .words import Alphabet, Coding, ResourceLimitError, WordDomainError
 
 WINDOW_CAP = 1 << 26
-# Prefix doubling peaks at about 100 bytes per symbol for n_max = 256 and
-# 165 for n_max = 2**21 (tracemalloc), 200 to 350 MB at this cap.
+# Prefix doubling peaks at about 80 bytes per symbol for n_max = 256 and
+# 145 for n_max = 2**21 (tracemalloc), 170 to 300 MB at this cap.
 PROFILE_CAP = 1 << 21
 
 
@@ -393,11 +393,13 @@ class FactorScanner:
 
         Only one level of the window asked last is kept; a higher level
         of the same window resumes its doubling, and a sweep over
-        rising lengths builds each window's levels once.
+        rising lengths builds each window's levels once.  The doubling
+        reads a copy of the window, so the kept state never holds on to
+        a stream buffer that a later request replaces.
         """
         state = self._doubling
         if state is None or state[0] != len(window) or state[1] > h:
-            levels = prefix_doubling(window, len(window))
+            levels = prefix_doubling(window.copy(), len(window))
             state = self._doubling = [len(window), 1, levels, next(levels)]
         while state[1] < h:
             rank = next(state[2], None)

@@ -30,7 +30,7 @@ from .words import ResourceLimitError, Word, WordDomainError, ternary_alphabet
 # 21 bytes per symbol (tracemalloc) and reads about 230 MB max RSS here.
 WITNESS_CAP = 1 << 23
 # Longest haystack searched through its suffix order, which keeps 4 bytes
-# per symbol and peaks near 80 (tracemalloc) while it is built.  Longer
+# per symbol and peaks near 40 (tracemalloc) while it is built.  Longer
 # haystacks, met only by words of more than 16385 symbols and witnesses
 # of 2**17 symbols or more, are scanned linearly, which takes no memory.
 INDEX_CAP = 1 << 18

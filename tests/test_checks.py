@@ -133,7 +133,6 @@ class TestVerifiers:
         assert rep.passed and rep.tuples_checked == 2 + 2 * 62
 
 
-
 class TestShiftGainSweep:
     """The vectorized tech-lemma sweep against the per-pair scalar oracle."""
 
@@ -154,14 +153,18 @@ class TestShiftGainSweep:
         assert report.tuples_checked == tried
         return len(misses)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_anchors_with_injected_misses(self, seed):
+    # A 0-anchor in an all-0 word, or paired with a 2-anchor in an all-2
+    # word, walks sums that never reach 1.  Zeros with one late 1 reach
+    # sum 1 only after the all-2 word's forward window has ended.
+    ALL_0, ALL_2 = bytes(192), bytes([2] * 192)
+    LATE_1 = bytes(185) + b"\x01" + bytes(6)
+
+    @pytest.mark.parametrize(("seed", "injected"), [(0, [ALL_2]), (1, [ALL_0]), (2, [LATE_1, ALL_2])])
+    def test_random_anchors_with_injected_misses(self, seed, injected):
         rng = random.Random(seed)
         expansions = [bytes(rng.choices(range(3), k=192)) for _ in range(3)]
-        # a 0-anchor in an all-0 word, or paired with a 2-anchor in an
-        # all-2 word, walks sums that never reach 1
-        injected = bytes(192) if seed % 2 else bytes([2] * 192)
-        expansions.insert(rng.randrange(4), injected)
+        for word in injected:
+            expansions.insert(rng.randrange(len(expansions) + 1), word)
         assert self.compare(expansions) >= 64
 
     @pytest.mark.parametrize(("row", "position", "shift"), [(5, 70, 2), (10, 119, 1)])

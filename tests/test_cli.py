@@ -219,8 +219,8 @@ class TestVerify:
                 )
             ),
             ["ivp", "--n-to", "1000000000"],
-            # windows under the window cap, which ran for minutes before
-            # their sweeps were capped
+            # windows under the window cap: these ran without bound
+            # before their sweeps were capped
             *(["verify", name, "--n-max", "100000"] for name in ("sigma-tau", "mirror-closure", "ivp-small")),
         ],
         ids=lambda argv: argv[1] if argv[-1] == "1000000000" else "-".join(argv[1::2]),
