@@ -2,19 +2,20 @@
 
 Every per-length quantity comes from one finite window of a
 fixed-point stream, ``FactorScanner.window(n)``, a prefix that contains
-every length-n factor of the infinite word.  For a morphism whose
-letters all grow, the window is certified by the block argument for
-factors of fixed points (Allouche & Shallit, *Automatic Sequences*,
-CUP 2003): with K the least power such that every |sigma^K(x)| >= n - 1,
-each length-n factor lies inside sigma^K(ab) for a length-2 factor ab,
-so sigma^K of the shortest prefix holding every length-2 factor holds
-them all.  Digit sums read only the window starts inside sigma^K(a) at
-the first occurrence of each length-2 factor ab, 9 * 2**K of the
-29 * 2**K for ``tml``; the other scans read the whole window.  A
-morphism with a bounded letter, whose iterated image length stops
-growing, falls back to doubling the window until its set of length-n
-factors stops growing; ``FactorScanner.certified`` tells the two routes
-apart.
+every length-n factor of the infinite word.  Both kinds of window rest
+on first occurrences, which one walk over the images of earlier first
+occurrences finds (``FactorScanner._first_occurrences``).  For a
+morphism whose letters all grow, the walk at length 2 is enough, by the
+block argument for factors of fixed points (Allouche & Shallit,
+*Automatic Sequences*, CUP 2003): with K the least power such that
+every |sigma^K(x)| >= n - 1, each length-n factor lies inside
+sigma^K(ab) for a length-2 factor ab, so sigma^K of the shortest prefix
+holding every length-2 factor holds them all.  Digit sums read only the
+window starts inside sigma^K(a) at the first occurrence of each ab,
+9 * 2**K of the 29 * 2**K for ``tml``; the other scans read the whole
+window.  For a morphism with a bounded letter, whose iterated image
+length stops growing, the window is the shortest prefix holding every
+length-n factor, from the walk at length n.
 
 Each scan over a window is a few numpy passes, with no loop per symbol:
 digit sums and letter counts are differences of cumulative sums, a
@@ -26,15 +27,17 @@ every factor's first occurrence from one ``np.unique`` over the pairs;
 ``suffix_order`` gives the sorted suffixes that the membership test in
 ``witnesses`` searches.  The attained digit sums of each length are
 kept, so checks that share a scanner scan each length once.  No window
-may exceed ``WINDOW_CAP`` symbols: a larger one raises
-ResourceLimitError instead of exhausting memory, and so does a
-factor-count profile over a window of more than ``PROFILE_CAP``.
+may exceed ``WINDOW_CAP`` symbols, nor may the factors a walk keeps: a
+larger one raises ResourceLimitError instead of exhausting memory, and
+so does a factor-count profile over a window of more than
+``PROFILE_CAP``.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -137,12 +140,12 @@ class FactorScanner:
     ``window(n)`` is a stream prefix that contains every length-n
     factor; every per-length answer is computed once from it.  When
     every letter of the fixed point grows under the morphism, the
-    window is certified by the block argument and ``certified`` is
-    True.  A morphism with a bounded letter falls back to doubling the
-    window until its set of length-n factors stops growing, and
-    ``certified`` is False.  ``coding`` changes which integer is summed
-    per letter for the digit-sum quantities; it does not affect subword
-    or abelian counts.
+    window is sigma^K of the pair prefix (``_block_starts``); a
+    morphism with a bounded letter takes the shortest prefix that holds
+    every length-n factor.  Both hold every factor of the infinite
+    word, so no answer is a guess from a truncation.  ``coding``
+    changes which integer is summed per letter for the digit-sum
+    quantities; it does not affect subword or abelian counts.
     """
 
     def __init__(self, stream: FixedPointStream, coding: Coding | None = None):
@@ -153,14 +156,8 @@ class FactorScanner:
         self._coded = coding.values if coding is not None else stream.alphabet.letters
         self._max_value = max(map(abs, self._coded))
         self._images = tuple(im.symbols for im in stream.morphism.images)
-        self._pairs = _pair_closure(self._images, stream.seed)
-        self._letters = {s for p in self._pairs for s in p}
         self._growth = [[1] * len(self._images)]  # _growth[K][x] = |sigma^K(x)|
         self._min_lengths = [1]  # min |sigma^K(x)| over the letters of the word
-        # A bounded letter's image length is constant from step A on, for
-        # A letters; a growing letter's grows within every A steps.
-        a = len(self._images)
-        self.certified = all(self._lengths(a)[x] < self._lengths(2 * a)[x] for x in self._letters)
         self._window_lengths: dict[int, int] = {}
         self._blocks: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
         self._ds_cumsum: np.ndarray | None = None
@@ -190,27 +187,65 @@ class FactorScanner:
             raise ResourceLimitError(f"window of {length} symbols exceeds the cap of {WINDOW_CAP}")
         return self.stream.array(length)
 
+    def _first_occurrences(self, L: int) -> dict[bytes, int]:
+        """Every length-L factor with its first occurrence, in that order.
+
+        With B(p) = |sigma(u[:p])|, u = sigma(u) puts each position i in
+        the image of u[j] for the j with B(j) <= i < B(j + 1), and j < i
+        when i > 0, since |sigma(u0)| >= 2.  If the factor at i occurs
+        first there, so does the factor at j: the L symbols from i lie in
+        sigma(u[j : j + L]), and an earlier occurrence of u[j : j + L]
+        would carry them before i.  So the first occurrences form a tree
+        rooted at 0, with the children of j among B(j) ... B(j + 1) - 1.
+        The walk visits those ranges in increasing position, keeps a
+        position whose window is new and queues its range.  A kept
+        position's range begins past every range queued before it, so a
+        plain queue keeps the order.  B is a running sum of image
+        lengths since the last kept position; the stream prefix doubles
+        as the walk reads further.
+        """
+        lengths = np.array([len(im) for im in self._images], dtype=np.int64)
+        arr, data = self._prefix(0), b""
+        found: dict[bytes, int] = {}
+        ranges = deque([(0, 1)])
+        kept = b = 0  # the last kept position j and B(j)
+        while ranges:
+            start, stop = ranges.popleft()
+            if stop + L - 1 > len(data):
+                arr = self._prefix(max(stop + L - 1, min(2 * len(data), WINDOW_CAP)))
+                data = arr.tobytes()
+            for i in range(start, stop):
+                w = data[i : i + L]
+                if w not in found:
+                    if (len(found) + 1) * L > WINDOW_CAP:
+                        raise ResourceLimitError(f"factors of length {L} exceed the cap of {WINDOW_CAP} symbols")
+                    found[w] = i
+                    b += int(lengths[arr[kept:i]].sum())
+                    kept = i
+                    ranges.append((b, b + len(self._images[data[i]])))
+        return found
+
     @cached_property
     def _pair_prefix(self) -> tuple[bytes, list[int]]:
         """The shortest prefix holding every length-2 factor, and the
-        sorted first occurrences of the length-2 factors in it.
+        sorted first occurrences of the length-2 factors in it."""
+        firsts = list(self._first_occurrences(2).values())
+        return bytes(self._prefix(firsts[-1] + 2)), firsts
 
-        A pair added in round r of the closure lies inside
-        sigma^r(u0 u1), so scanning those prefixes in turn ends.
+    @cached_property
+    def _letters(self) -> frozenset[int]:
+        """The letters of the word, each of which starts a length-2 factor."""
+        return frozenset(self._pair_prefix[0])
+
+    @cached_property
+    def _growing(self) -> bool:
+        """Whether every letter of the word grows under the morphism.
+
+        A bounded letter's image length is constant from step A on, for
+        A letters; a growing letter's grows within every A steps.
         """
-        k = len(self._images)
-        u0 = self.stream.seed
-        u1 = self._images[u0][1]
-        r = 0
-        while True:
-            lengths = self._lengths(r)
-            prefix = self._prefix(lengths[u0] + lengths[u1])
-            arr = prefix.astype(np.int64)
-            codes, first = np.unique(arr[:-1] * k + arr[1:], return_index=True)
-            if len(codes) == len(self._pairs):
-                first.sort()
-                return bytes(prefix[: int(first[-1]) + 2]), first.tolist()
-            r += 1
+        a = len(self._images)
+        return all(self._lengths(a)[x] < self._lengths(2 * a)[x] for x in self._letters)
 
     def _block_starts(self, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """|sigma^K(p)| for the pair prefix p and the least K with every
@@ -245,41 +280,21 @@ class FactorScanner:
             blocks = self._blocks[K] = (offsets[-1], tuple(ranges))
         return blocks
 
-    def _doubled_length(self, n: int) -> int:
-        """Prefix length at which the length-n factor set stops growing.
-
-        The bounded-letter fallback: a heuristic, not a proof.
-        """
-
-        def count(length: int) -> int:
-            data = self._prefix(length).tobytes()
-            return len({data[i : i + n] for i in range(length - n + 1)})
-
-        # Too short a start stops the doubling early with a wrong answer;
-        # the pair prefix at least holds every factor of length 1 and 2.
-        length = max(4096, 64 * n, len(self._pair_prefix[0]))
-        seen = count(length)
-        while True:
-            more = count(2 * length)
-            if more == seen:
-                return length
-            length, seen = 2 * length, more
-
     def window(self, n: int) -> np.ndarray:
         """Stream prefix containing every length-n factor of the fixed point."""
         if n < 1:
             raise WordDomainError("factor length must be positive")
         length = self._window_lengths.get(n)
         if length is None:
-            length = self._block_starts(n)[0] if self.certified else self._doubled_length(n)
+            length = self._block_starts(n)[0] if self._growing else max(self._first_occurrences(n).values()) + n
             self._window_lengths[n] = length
         return self._prefix(length)
 
     def digit_sum_set(self, n: int) -> frozenset[int]:
         """Set of digit sums attained by length-n factors.
 
-        A certified window is read only from its block starts (see
-        ``_block_starts``), the fallback window from every start.  The
+        A window of a growing morphism is read only from its block
+        starts (see ``_block_starts``), any other from every start.  The
         sums go into one scratch buffer reused across lengths, and each
         length's distinct sums are kept as a sorted array, so checks
         sharing a scanner scan each length once.
@@ -296,7 +311,7 @@ class FactorScanner:
                 # modulo 2**64, hence exact for sums bounded as above.
                 values = np.array(self._coded, dtype=np.int64)
                 cs = self._ds_cumsum = np.concatenate(([0], np.cumsum(values[window])))
-            ranges = self._block_starts(n)[1] if self.certified else ((0, L - n + 1),)
+            ranges = self._block_starts(n)[1] if self._growing else ((0, L - n + 1),)
             count = sum(stop - start for start, stop in ranges)
             if self._ds_scratch is None or len(self._ds_scratch) < count:
                 self._ds_scratch = np.empty(count, dtype=np.int64)
@@ -440,25 +455,6 @@ class FactorScanner:
     def recurrence_index(self, n: int) -> int:
         """Shortest prefix length containing every length-n factor."""
         return int(self._first_starts(n)[-1]) + n
-
-
-def _pair_closure(images: tuple[bytes, ...], seed: int) -> frozenset[bytes]:
-    """Length-2 factors of the fixed point of ``images`` on ``seed``.
-
-    Start from u0 u1; add the inner pairs of sigma(x) for every letter x
-    found so far and the straddling pair last(sigma(a)) first(sigma(b))
-    for every pair ab found so far, until nothing new appears.
-    """
-    pairs = {images[seed][:2]}
-    while True:
-        new = set(pairs)
-        for x in {s for p in pairs for s in p}:
-            im = images[x]
-            new.update(im[i : i + 2] for i in range(len(im) - 1))
-        new.update(bytes((images[a][-1], images[b][0])) for a, b in pairs)
-        if new == pairs:
-            return frozenset(pairs)
-        pairs = new
 
 
 @dataclass(frozen=True)

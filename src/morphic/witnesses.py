@@ -29,10 +29,13 @@ from .words import ResourceLimitError, Word, WordDomainError, ternary_alphabet
 # Longest witness built.  `morphic witness --format json` peaks at about
 # 21 bytes per symbol (tracemalloc) and reads about 230 MB max RSS here.
 WITNESS_CAP = 1 << 23
-# Longest haystack searched through its suffix order, which keeps 4 bytes
-# per symbol and peaks near 40 (tracemalloc) while it is built.  Longer
-# haystacks, met only by words of more than 16385 symbols and witnesses
-# of 2**17 symbols or more, are scanned linearly, which takes no memory.
+# Haystacks searched through their suffix order: over INDEX_MIN, where a
+# scan is slower (3.3 against 7.1 us a search at 5120 symbols, 4.3 against
+# 0.9 at 1024), and at most INDEX_CAP: the order keeps 4 bytes per symbol
+# and peaks near 40 (tracemalloc) while it is built.  Longer haystacks, met
+# only by words of more than 16385 symbols and witnesses of 2**17 symbols
+# or more, are scanned linearly, which takes no memory.
+INDEX_MIN = 1 << 12
 INDEX_CAP = 1 << 18
 
 _TERN = ternary_alphabet()
@@ -156,9 +159,10 @@ def _search(hay: bytes, pattern: bytes, least: bool) -> int:
     The starts of the suffixes that begin with the pattern form one run
     of the suffix order.  A binary search over the suffixes cut to the
     pattern's length finds the run's first entry, and a second one its
-    end when the least start is asked for.
+    end when the least start is asked for.  Haystacks outside
+    (INDEX_MIN, INDEX_CAP] are scanned linearly instead.
     """
-    if len(hay) > INDEX_CAP:
+    if not INDEX_MIN < len(hay) <= INDEX_CAP:
         return hay.find(pattern)
     order = _suffix_order(hay)
     m = len(pattern)
@@ -182,8 +186,7 @@ def is_factor(u: Word) -> bool:
     lies inside sigma^K(xy) for some letter pair xy.  All nine pairs
     are factors and all occur in 0011220210, so the factors of length
     at most 2^K + 1 are exactly the windows of sigma^K(0011220210).
-    One binary search in the sorted suffixes of that haystack decides
-    membership; a haystack over INDEX_CAP symbols is scanned instead.
+    One search of that haystack (``_search``) decides membership.
     """
     if not u.alphabet.is_ternary:
         raise WordDomainError("membership test requires the alphabet {0,1,2}")
@@ -210,9 +213,9 @@ def witness_occurrence(w: WitnessDecomposition) -> int:
 
     For n = 1 the context is sigma^3(0), the first eight letters of the
     fixed point.  The least start is the smallest entry of the run of
-    the context's suffix order that begins with the witness; a context
-    over INDEX_CAP symbols is scanned instead.  Raises if the witness
-    does not occur, which would falsify the whole construction.
+    the context's suffix order that begins with the witness, or the
+    first match of a scan (``_search``).  Raises if the witness does not
+    occur, which would falsify the whole construction.
     """
     if w.n == 1:
         hay = sigma_power_bytes(0, 3)

@@ -1,8 +1,9 @@
-"""The certified factor window, checked against the block-argument oracle."""
+"""The factor window, checked against the block-argument oracle and brute force."""
 
 import subprocess
 import sys
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +17,11 @@ from conftest import (
     popcount_letter,
     substitute,
 )
+from morphic import complexity
 from morphic.complexity import FactorScanner, build_complexity_table
 from morphic.morphisms import FixedPointStream, Morphism, parse_morphism_spec
 from morphic.witnesses import ternary_stream
-from morphic.words import Alphabet, Coding, Word
+from morphic.words import Alphabet, Coding, ResourceLimitError, Word
 
 N_MAX = 16
 # Largest scan window a drawn morphism may need, which keeps each example cheap.
@@ -90,7 +92,7 @@ def stream_of(images) -> FixedPointStream:
 def test_table_matches_block_oracle(case):
     images, values = case
     stream = stream_of(images)
-    assert FactorScanner(stream).certified
+    assert FactorScanner(stream)._growing
     rows = build_complexity_table(stream, 1, N_MAX, coding=Coding(stream.alphabet, values)).rows
     factors = block_factors(images, 0, N_MAX)
     # The oracle's closure rule, checked without it: every window of a long
@@ -150,26 +152,30 @@ def test_sixteen_letter_parikh_keys_do_not_wrap():
 def test_six_letter_morphism_has_54_factors_of_length_3():
     spec = parse_morphism_spec(SIX_LETTERS)
     scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
-    assert scanner.certified
+    assert scanner._growing
     assert scanner.subword_complexity(3) == 54
     images = tuple(im.symbols for im in spec.morphism.images)
     assert len(block_factors(images, spec.seed, 3)) == 54
 
 
-def test_chacon_takes_the_doubling_fallback():
-    spec = parse_morphism_spec("0 -> 0010\n1 -> 1\n")
-    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
-    assert scanner.certified is False
+def scanner_of(spec_text: str) -> FactorScanner:
+    spec = parse_morphism_spec(spec_text)
+    return FactorScanner(FixedPointStream(spec.morphism, spec.seed))
+
+
+def test_chacon_window_holds_every_factor():
+    scanner = scanner_of("0 -> 0010\n1 -> 1\n")
+    assert not scanner._growing
     assert [scanner.subword_complexity(n) for n in range(2, 13)] == [2 * n - 1 for n in range(2, 13)]
 
 
-def test_doubling_fallback_doubles_past_its_start():
-    # the first run of k b's ends sigma^k(a), 2^(k+1) - 1 symbols in, so
-    # at n = 12 the factor set still grows between 4096 and 8192 symbols
+def test_bounded_letter_window_ends_at_the_last_first_occurrence():
+    # the first run of k b's ends sigma^k(a), 2^(k+1) - 1 symbols in, and
+    # b^12 is the last length-12 factor to appear
     spec = parse_morphism_spec("a -> aab\nb -> b\n")
     scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
-    assert scanner.certified is False
-    assert len(scanner.window(12)) > 4096
+    assert not scanner._growing
+    assert len(scanner.window(12)) == scanner.recurrence_index(12) == 8191
     images = tuple(im.symbols for im in spec.morphism.images)
     prefix = substitute(images, bytes((spec.seed,)), 16)
     assert len(prefix) >= BRUTE_LENGTH
@@ -180,18 +186,78 @@ def test_doubling_fallback_doubles_past_its_start():
     assert len(scanner._ds_scratch) == len(window) - 11
 
 
-def test_fallback_start_reaches_a_late_letter():
-    # u = 0 (1^300 2)(1^300 2)...: the first 2 sits past a 64n-symbol window
-    # for small n, where the 1s alone look like a stable factor set.
+def test_bounded_letter_window_reaches_a_late_letter():
+    # u = 0 (1^300 2)(1^300 2)...: the first 2 sits 301 symbols in, past
+    # a stretch of 1s whose factor set alone looks complete.
     spec = parse_morphism_spec("0 -> 0" + "1" * 300 + "2\n1 -> 1\n2 -> 2\n")
     stream = FixedPointStream(spec.morphism, spec.seed)
-    assert FactorScanner(stream).certified is False
+    assert not FactorScanner(stream)._growing
     prefix = substitute((bytes((0,)) + bytes((1,)) * 300 + bytes((2,)), bytes((1,)), bytes((2,))), bytes((0,)), 8)
     for row in build_complexity_table(stream, 1, 4).rows:
         vectors = brute_parikh_set(prefix, row.n)
         sums = {b + 2 * c for _, b, c in vectors}
         expected = (len(brute_factors(prefix, row.n)), len(vectors), len(sums), min(sums), max(sums))
         assert (row.rho, row.rho_ab, row.rho_plus, row.ds_min, row.ds_max) == expected, row.n
+
+
+def test_late_factors_of_a_bounded_letter_morphism():
+    # Doubling a window until two factor counts agreed stopped at 8192
+    # symbols here and reported rho(8) = 41 and rho(10) = 55; the last
+    # length-10 factor first occurs at 206,660.
+    scanner = scanner_of("a -> aaba\nb -> cb\nc -> c\n")
+    assert scanner.subword_complexity(8) == 42
+    assert scanner.subword_complexity(10) == 61
+    assert len(scanner.window(10)) == scanner.recurrence_index(10) == 206670
+
+
+@st.composite
+def bounded_letter_morphisms(draw):
+    """Images over 2-4 letters of length 1-4, prolongable on letter 0,
+    with a letter other than 0 mapped to itself, and a coding."""
+    k = draw(st.integers(2, 4))
+    widths = [draw(st.integers(1, 4)) for _ in range(k)]
+    widths[0] = max(widths[0], 2)
+    images = [bytearray(draw(st.lists(st.integers(0, k - 1), min_size=w, max_size=w))) for w in widths]
+    images[0][0] = 0
+    fixed = draw(st.integers(1, k - 1))
+    images[fixed] = bytearray((fixed,))
+    values = tuple(draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k)))
+    return tuple(bytes(im) for im in images), values
+
+
+BOUNDED_N_MAX = 8
+
+
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(bounded_letter_morphisms())
+def test_bounded_letter_windows_match_brute_force(case):
+    images, values = case
+    stream = stream_of(images)
+    scanner = FactorScanner(stream, Coding(stream.alphabet, values))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "WINDOW_CAP", WINDOW_LIMIT)
+        try:
+            longest = len(scanner.window(BOUNDED_N_MAX))
+        except ResourceLimitError:
+            longest = None
+    assume(longest is not None and not scanner._growing)
+    # sigma^j(0) grows with j; its factor sets only grow, and equal the
+    # window's once it is at least as long
+    powers = [bytes((0,))]
+    while len(powers[-1]) < longest:
+        powers.append(substitute(images, powers[-1]))
+    prefix = powers[-1]
+    for n in range(1, BOUNDED_N_MAX + 1):
+        window = bytes(scanner.window(n))
+        assert scanner.recurrence_index(n) == len(window), n
+        factors = brute_factors(window, n)
+        for power in powers:
+            assert brute_factors(power, n) <= factors, n
+        assert brute_factors(prefix, n) == factors, n
+        assert scanner.subword_complexity(n) == len(factors), n
+        vectors = brute_parikh_set(prefix, n, len(images))
+        assert scanner.parikh_set(n) == vectors, n
+        assert scanner.digit_sum_set(n) == {sum(c * v for c, v in zip(p, values)) for p in vectors}, n
 
 
 def test_tml_digit_sums_scan_nine_blocks_per_length():

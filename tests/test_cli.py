@@ -163,6 +163,33 @@ class TestComplexity:
         assert code == 2
         assert "exceeds the cap" in err
 
+    def test_late_factors_of_a_bounded_letter_morphism(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("a -> aaba\nb -> cb\nc -> c\n")
+        code, out, _ = run(capsys, "complexity", "--morphism", str(f), "--n-to", "10")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert rows[7][:2] == ["8", "42"]
+        assert rows[-1][:2] == ["10", "61"]
+
+    def test_bounded_letter_window_over_cap_is_refused_in_2gb(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("a -> ad\nb -> b\nc -> cab\nd -> cbc\n")
+        proc = run_in_2gb("complexity", "--morphism", str(f), "--n-to", "10")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
+        assert "exceeds the cap" in proc.stderr
+
+    def test_bounded_letter_factors_over_cap_are_refused_in_2gb(self, tmp_path):
+        # Chacon has 2n - 1 factors of each length n > 1: at n = 100000 the
+        # walk would keep 20 GB of them
+        f = tmp_path / "m.txt"
+        f.write_text("0 -> 0010\n1 -> 1\n")
+        proc = run_in_2gb("complexity", "--morphism", str(f), "--n-to", "100000")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
+        assert "exceed the cap" in proc.stderr
+
     def test_profile_over_cap_is_refused_in_2gb(self):
         proc = run_in_2gb("complexity", "--n-to", "400000")
         assert proc.returncode == 2, proc.stderr

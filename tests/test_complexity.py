@@ -133,7 +133,7 @@ class TestScanner:
         assert sc.recurrence_index(5) == 5
 
 
-def doubling_fallback_stream() -> FixedPointStream:
+def bounded_letter_stream() -> FixedPointStream:
     spec = parse_morphism_spec("a -> aab\nb -> b\n")
     return FixedPointStream(spec.morphism, spec.seed)
 
@@ -153,9 +153,9 @@ class TestFactorIndex:
         [
             (ternary_stream, [*range(1, 65), 128, 256]),
             (sigma3_stream, [*range(1, 65), 128, 256]),
-            # uncertified: windows of the doubling fallback pass a million
-            # symbols beyond n = 16
-            (doubling_fallback_stream, range(1, 17)),
+            # b is bounded: b^n first ends 2^(n+1) - 1 symbols in, so the
+            # windows pass the cap from n = 25 on
+            (bounded_letter_stream, range(1, 17)),
         ],
         ids=["tml", "sigma3", "aab"],
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from morphic.witnesses import (
     INDEX_CAP,
+    INDEX_MIN,
     balanced_letter,
     decomposition_haystack,
     factor_haystack,
@@ -155,7 +156,7 @@ class TestMembership:
             decomposition_haystack(0)
         assert len(decomposition_haystack(3)) == 32
 
-    @pytest.mark.parametrize("K", range(9))
+    @pytest.mark.parametrize("K", range(10))
     def test_accepts_every_haystack_window(self, K):
         # 0011220210 holds 021 and 210, which are not factors; from K = 1
         # on every window of both lengths is one
@@ -166,8 +167,11 @@ class TestMembership:
                 w = hay[i : i + n]
                 assert is_factor(Word(TERN, w)) == (w not in rejected), (n, i)
 
-    @pytest.mark.parametrize("K", range(9))
+    @pytest.mark.parametrize("K", range(12))
     def test_agrees_with_linear_search(self, K):
+        # haystacks up to K = 8 (2560 symbols) are at most INDEX_MIN and
+        # scanned; from K = 9 on they are binary-searched
+        assert (len(factor_haystack(K)) <= INDEX_MIN) == (K <= 8)
         rng = random.Random(K)
         outcomes = set()
         for n in ((1 << K) + 1, (1 << K) + 2):
