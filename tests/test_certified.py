@@ -96,7 +96,7 @@ def test_table_matches_block_oracle(case):
     rows = build_complexity_table(stream, 1, N_MAX, coding=Coding(stream.alphabet, values)).rows
     factors = block_factors(images, 0, N_MAX)
     # The oracle's closure rule, checked without it: every window of a long
-    # prefix is a factor, and the prefix outgrows the certified window.
+    # prefix is a factor, and the prefix outgrows the block window.
     prefix = bytes((0,))
     while len(prefix) < BRUTE_LENGTH:
         prefix = substitute(images, prefix)
@@ -158,13 +158,9 @@ def test_six_letter_morphism_has_54_factors_of_length_3():
     assert len(block_factors(images, spec.seed, 3)) == 54
 
 
-def scanner_of(spec_text: str) -> FactorScanner:
-    spec = parse_morphism_spec(spec_text)
-    return FactorScanner(FixedPointStream(spec.morphism, spec.seed))
-
-
 def test_chacon_window_holds_every_factor():
-    scanner = scanner_of("0 -> 0010\n1 -> 1\n")
+    spec = parse_morphism_spec("0 -> 0010\n1 -> 1\n")
+    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
     assert not scanner._growing
     assert [scanner.subword_complexity(n) for n in range(2, 13)] == [2 * n - 1 for n in range(2, 13)]
 
@@ -201,10 +197,10 @@ def test_bounded_letter_window_reaches_a_late_letter():
 
 
 def test_late_factors_of_a_bounded_letter_morphism():
-    # Doubling a window until two factor counts agreed stopped at 8192
-    # symbols here and reported rho(8) = 41 and rho(10) = 55; the last
-    # length-10 factor first occurs at 206,660.
-    scanner = scanner_of("a -> aaba\nb -> cb\nc -> c\n")
+    # the last length-10 factor first occurs at 206,660; the first 8192
+    # symbols hold only 41 factors of length 8 and 55 of length 10
+    spec = parse_morphism_spec("a -> aaba\nb -> cb\nc -> c\n")
+    scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
     assert scanner.subword_complexity(8) == 42
     assert scanner.subword_complexity(10) == 61
     assert len(scanner.window(10)) == scanner.recurrence_index(10) == 206670

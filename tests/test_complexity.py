@@ -153,8 +153,8 @@ class TestFactorIndex:
         [
             (ternary_stream, [*range(1, 65), 128, 256]),
             (sigma3_stream, [*range(1, 65), 128, 256]),
-            # b is bounded: b^n first ends 2^(n+1) - 1 symbols in, so the
-            # windows pass the cap from n = 25 on
+            # b is bounded: b^n first ends 2^(n+1) - 1 symbols in, and the
+            # walk for the window passes the cap from n = 25 on
             (bounded_letter_stream, range(1, 17)),
         ],
         ids=["tml", "sigma3", "aab"],
