@@ -29,8 +29,8 @@ from .words import ResourceLimitError, Word, WordDomainError, tau
 
 # Longest factor lengths of the sweeps that visit every factor or every
 # start.  Their time grows about fourfold per doubling of n_max; at these
-# caps sigma-tau took 5.4-8.7 s, mirror-closure 8.2-13.9 s and ivp-small
-# 8.8-12.6 s in fresh processes on a shared 2-vCPU VM.
+# caps sigma-tau took 7.1-9.4 s, mirror-closure 9.3-9.8 s and ivp-small
+# 5.4-7.5 s in fresh processes on a shared 2-vCPU VM.
 SIGMA_TAU_N_MAX = 1 << 7
 MIRROR_CLOSURE_N_MAX = 1 << 8
 IVP_SMALL_N_MAX = 1 << 11

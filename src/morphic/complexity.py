@@ -21,16 +21,17 @@ Each scan over a window is a few numpy passes, with no loop per symbol:
 digit sums and letter counts are differences of cumulative sums, a
 letter-count vector is folded into one int64 key so that its distinct
 values come from a 1-D ``np.unique``, and the factor counts rho come
-from sorted suffix ranks built by prefix doubling.  The same ranks name
-each length-n window by one pair of integers, so the factor index takes
-every factor's first occurrence from one ``np.unique`` over the pairs;
-``suffix_order`` gives the sorted suffixes that the membership test in
-``witnesses`` searches.  The attained digit sums of each length are
-kept, so checks that share a scanner scan each length once.  No window
-may exceed ``WINDOW_CAP`` symbols, nor may the factors a walk keeps: a
-larger one raises ResourceLimitError instead of exhausting memory, and
-so does a factor-count profile over a window of more than
-``PROFILE_CAP``.
+from the window's suffixes sorted by prefix doubling, with the common
+prefix of each pair of neighbours (``sorted_suffixes``).  The same sort
+gives the factor index: a length-n factor is a run of neighbours that
+share n symbols, and its first occurrence is the least start in the
+run.  ``suffix_order`` gives the sorted suffixes that the membership
+test in ``witnesses`` searches.  The attained digit sums of each length
+are kept, so checks that share a scanner scan each length once.  No
+window may exceed ``WINDOW_CAP`` symbols, nor may the factors a walk
+keeps: a larger one raises ResourceLimitError instead of exhausting
+memory, and so does a factor-count profile or a first-occurrence sort
+over a window of more than ``PROFILE_CAP``.
 """
 
 from __future__ import annotations
@@ -101,21 +102,16 @@ def suffix_order(data: np.ndarray) -> np.ndarray:
     return np.argsort(rank).astype(np.int32)
 
 
-def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
-    """Count distinct substrings of each length 1..n_max of ``data``.
+def sorted_suffixes(data: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of ``data`` sorted by their first n_max symbols, and
+    the common prefix length of each pair of neighbours in that order.
 
-    Sorting the suffixes by the top level of ``prefix_doubling`` puts
-    the suffixes that share a prefix of any length n <= n_max next to
-    each other.  The common prefix of two neighbours is found by
-    descending the levels, and
-
-        count(n) = #suffixes of length >= n - #neighbours sharing >= n symbols.
-
-    Returns an int64 array p with p[i] = number of distinct substrings
-    of length i + 1.
+    Sorting by the top level of ``prefix_doubling`` puts the suffixes
+    that share a prefix of any length n <= n_max next to each other.
+    The common prefix of two neighbours is found by descending the
+    levels; it is exact below n_max and at least n_max otherwise, and
+    exact everywhere when n_max >= len(data).
     """
-    if n_max < 1:
-        return np.zeros(0, dtype=np.int64)
     N = len(data)
     levels = list(prefix_doubling(data, n_max))
     order = np.argsort(levels[-1])
@@ -127,10 +123,26 @@ def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
         same = (a < N) & (b < N)
         same &= level[np.minimum(a, N - 1)] == level[np.minimum(b, N - 1)]
         lcp += same.astype(np.int64) << j
+    return order, lcp
+
+
+def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
+    """Count distinct substrings of each length 1..n_max of ``data``.
+
+    From the neighbours of ``sorted_suffixes(data, n_max)``,
+
+        count(n) = #suffixes of length >= n - #neighbours sharing >= n symbols.
+
+    Returns an int64 array p with p[i] = number of distinct substrings
+    of length i + 1.
+    """
+    if n_max < 1:
+        return np.zeros(0, dtype=np.int64)
+    lcp = sorted_suffixes(data, n_max)[1]
     shared = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
     # shared_at_least[n] = number of neighbours sharing at least n symbols
     shared_at_least = np.cumsum(shared[::-1])[::-1]
-    suffixes = np.maximum(N + 1 - np.arange(1, n_max + 1), 0)
+    suffixes = np.maximum(len(data) + 1 - np.arange(1, n_max + 1), 0)
     return suffixes - shared_at_least[1:]
 
 
@@ -166,9 +178,8 @@ class FactorScanner:
         self._letter_cumsums: dict[int, np.ndarray] = {}
         self._profile: np.ndarray | None = None
         self._profile_n_max = 0
-        # [window length, 2**j, prefix_doubling iterator, level j] of the
-        # window whose ranks were asked last
-        self._doubling: list | None = None
+        # sorted_suffixes of the longest window that first starts were asked of
+        self._suffixes: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -378,6 +389,15 @@ class FactorScanner:
     def abelian_complexity(self, n: int) -> int:
         return len(self.parikh_set(n))
 
+    def _sortable_window(self, n: int, what: str) -> np.ndarray:
+        """``window(n)``, refused before any sort if over ``PROFILE_CAP``."""
+        window = self.window(n)
+        if len(window) > PROFILE_CAP:
+            raise ResourceLimitError(
+                f"{what} need a {len(window)}-symbol window, over the profile cap of {PROFILE_CAP}"
+            )
+        return window
+
     def distinct_profile(self, n_max: int) -> np.ndarray:
         """rho(1..n_max) as an array; cached and extended on demand.
 
@@ -387,67 +407,40 @@ class FactorScanner:
         if n_max < 1:
             return np.zeros(0, dtype=np.int64)
         if self._profile is None or self._profile_n_max < n_max:
-            window = self.window(n_max)
-            if len(window) > PROFILE_CAP:
-                raise ResourceLimitError(
-                    f"factor counts up to length {n_max} need a {len(window)}-symbol window, "
-                    f"over the profile cap of {PROFILE_CAP}"
-                )
+            window = self._sortable_window(n_max, f"factor counts up to length {n_max}")
             self._profile = distinct_substring_profile(window, n_max)
             self._profile_n_max = n_max
         return self._profile[:n_max]
 
     def subword_complexity(self, n: int) -> int:
-        if n < 1:
-            raise WordDomainError("factor length must be positive")
-        return int(self.distinct_profile(max(n, self._profile_n_max))[n - 1])
-
-    def _rank_level(self, window: np.ndarray, h: int) -> np.ndarray:
-        """The level of ``prefix_doubling(window)`` that ranks by h = 2**j
-        symbols, or an earlier one at which every rank is distinct.
-
-        Only one level of the window asked last is kept; a higher level
-        of the same window resumes its doubling, and a sweep over
-        rising lengths builds each window's levels once.  The doubling
-        reads a copy of the window, so the kept state never holds on to
-        a stream buffer that a later request replaces.
-        """
-        state = self._doubling
-        if state is None or state[0] != len(window) or state[1] > h:
-            levels = prefix_doubling(window.copy(), len(window))
-            state = self._doubling = [len(window), 1, levels, next(levels)]
-        while state[1] < h:
-            rank = next(state[2], None)
-            if rank is None:
-                break
-            state[1] *= 2
-            state[3] = rank
-        return state[3]
+        return len(self._first_starts(n))
 
     def _first_starts(self, n: int) -> np.ndarray:
         """Sorted first starts of the distinct length-n windows of ``window(n)``.
 
-        With 2**j <= n < 2**(j + 1), a length-n window is its first and
-        its last 2**j symbols, so the level-j rank pair
-        (r_j[i], r_j[i + n - 2**j]) names the window at i, and one
-        ``np.unique`` finds each name's first start.  A level at which
-        every rank is already distinct names every window by itself.
+        In ``sorted_suffixes`` of a prefix, a length-n factor is a run of
+        neighbours that share at least n symbols, and its first start is
+        the least start in the run; a suffix shorter than n is a run of
+        its own and starts past len(window(n)) - n.  A longer prefix
+        holds every shorter factor at the same first start, so the sort
+        of the longest window asked so far answers every length whose
+        window is no longer.
         """
-        window = self.window(n)
-        h = 1 << (n.bit_length() - 1)
-        rank = self._rank_level(window, h)
-        starts = len(window) - n + 1
-        key = rank[:starts].astype(np.int64) * (int(rank.max()) + 1)
-        key += rank[n - h : n - h + starts]
-        first = np.unique(key, return_index=True)[1]
+        window = self._sortable_window(n, f"first occurrences of length {n}")
+        if self._suffixes is None or len(self._suffixes[0]) < len(window):
+            self._suffixes = sorted_suffixes(window, len(window))
+        order, lcp = self._suffixes
+        heads = np.concatenate(([0], np.flatnonzero(lcp < n) + 1))
+        first = np.minimum.reduceat(order, heads)
+        first = first[first <= len(window) - n]
         first.sort()
         return first
 
     def factor_index(self, n: int) -> dict[bytes, int]:
         """Every length-n factor with its first occurrence, in that order.
 
-        The first occurrences are ``_first_starts(n)``: one ``np.unique``
-        over rank pairs, with no loop over the window's starts.
+        The first occurrences are ``_first_starts(n)``, with no loop over
+        the window's starts.
         """
         data = self.window(n).tobytes()
         return {data[i : i + n]: i for i in self._first_starts(n).tolist()}

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_factors, brute_parikh_set, first_occurrences
+from morphic import complexity
 from morphic.complexity import (
+    PROFILE_CAP,
     FactorScanner,
     build_complexity_table,
     distinct_substring_profile,
@@ -147,6 +149,7 @@ class TestFactorIndex:
             expected = first_occurrences(scanner.window(n).tobytes(), n)
             assert list(scanner.factor_index(n).items()) == list(expected.items()), n
             assert scanner.recurrence_index(n) == max(expected.values()) + n, n
+            assert scanner.subword_complexity(n) == len(expected), n
 
     @pytest.mark.parametrize(
         "make_stream, lengths",
@@ -160,10 +163,22 @@ class TestFactorIndex:
         ids=["tml", "sigma3", "aab"],
     )
     def test_matches_the_per_start_loop(self, make_stream, lengths):
-        # rising lengths resume one window's rank levels; falling lengths
-        # start them again at every length
+        # a rising sweep sorts again only when the window grows; a falling
+        # one answers every length from its first sort
         self.check(FactorScanner(make_stream()), lengths)
         self.check(FactorScanner(make_stream()), reversed(lengths))
+
+    def test_over_the_profile_cap_is_refused_unsorted(self, monkeypatch):
+        # length 65538 needs the 29 * 2**17 = 3,801,088-symbol window, over PROFILE_CAP
+        def no_sort(data, n_max):
+            raise AssertionError(f"sorted a {len(data)}-symbol window")
+
+        monkeypatch.setattr(complexity, "prefix_doubling", no_sort)
+        scanner = FactorScanner(ternary_stream())
+        assert len(scanner.window(65538)) == 3801088 > PROFILE_CAP
+        for query in (scanner.factor_index, scanner.recurrence_index, scanner.subword_complexity):
+            with pytest.raises(ResourceLimitError, match="profile cap"):
+                query(65538)
 
 
 class TestTable:
