@@ -166,24 +166,52 @@ def verify_mirror_closure(n_max: int, scanner: FactorScanner) -> VerifyReport:
     return report
 
 
-# symbols counted at a time, so that no comparison is as long as a prefix
+# symbols of a counted word built at a time
 _COUNT_CHUNK = 1 << 20
 
 
-def _running_differences(stream: FixedPointStream, heights: list[int]) -> list[int]:
-    """#2 - #0 in the length-2^l prefix of stream, for rising heights l.
+def _word_chunks(base: np.ndarray, blocks: np.ndarray):
+    """sigma^j(base) as (start, symbols) pairs, from rows blocks[y] = sigma^j(y).
 
-    The stream is asked once, for its longest prefix; each height adds
-    the symbols [2^l_prev, 2^l) to a running count, a chunk at a time.
+    Each chunk joins the blocks of _COUNT_CHUNK >> j symbols of base, or
+    of the rest of base, so it holds at most _COUNT_CHUNK symbols.
     """
-    word = stream.array(1 << heights[-1])
-    diffs, counted, start = [], 0, 0
-    for l in heights:
-        for lo in range(start, 1 << l, _COUNT_CHUNK):
-            part = word[lo : min(lo + _COUNT_CHUNK, 1 << l)]
-            counted += int(np.count_nonzero(part == 2)) - int(np.count_nonzero(part == 0))
-        diffs.append(counted)
-        start = 1 << l
+    width = blocks.shape[1]
+    step = _COUNT_CHUNK // width
+    for lo in range(0, len(base), step):
+        yield lo * width, blocks[base[lo : lo + step]].ravel()
+
+
+def _twos_over_zeros(part: np.ndarray) -> int:
+    return int(np.count_nonzero(part == 2)) - int(np.count_nonzero(part == 0))
+
+
+def _running_differences(streams: list[FixedPointStream], letter: int, heights: list[int]) -> list[int]:
+    """#2 - #0 in sigma^l(letter), for rising heights l.
+
+    streams[y] is the fixed point on y.  With L the top height and
+    j = L // 2, sigma^L(letter) = sigma^j(sigma^(L-j)(letter)) is built
+    a chunk at a time from two kinds of short prefix: the base
+    sigma^(L-j)(letter), of 2^(L-j) symbols, and one block sigma^j(y) of
+    2^j symbols per letter y.  sigma^l(letter) is its length-2^l prefix,
+    so each chunk's count is split at the heights inside it.  Alive at
+    once: the base, the blocks and at most two chunk-sized arrays (a
+    chunk with its comparison, or with the next chunk being built).
+    """
+    top = heights[-1]
+    j = top // 2
+    base = streams[letter].array(1 << (top - j))
+    blocks = np.stack([s.array(1 << j) for s in streams])
+    ends = [1 << l for l in heights]
+    diffs, counted = [], 0
+    for start, part in _word_chunks(base, blocks):
+        cut = 0
+        while len(diffs) < len(ends) and ends[len(diffs)] <= start + len(part):
+            end = ends[len(diffs)] - start
+            counted += _twos_over_zeros(part[cut:end])
+            diffs.append(counted)
+            cut = end
+        counted += _twos_over_zeros(part[cut:])
     return diffs
 
 
@@ -195,9 +223,10 @@ def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
     routes must agree: letter counting on sigma^l(x), which is the
     length-2^l prefix of the fixed point on x since the substitution is
     prolongable on every letter, and an exact integer power of the
-    per-letter incidence matrix.  Each letter's stream is read once, up
-    to its largest height, and dropped before the next letter's is
-    built, so one prefix of at most 2^l_max symbols is alive at a time.
+    per-letter incidence matrix.  Each sigma^l(x) is counted block by
+    block (``_running_differences``) from prefixes of at most
+    2^(l_max - l_max // 2) symbols of the three fixed points, so about
+    two chunks of _COUNT_CHUNK symbols are the largest arrays alive.
     """
     if l_max > 26:
         raise ResourceLimitError("powers beyond 2^26 symbols; lower l_max")
@@ -214,9 +243,10 @@ def verify_surplus_balance_counts(l_max: int) -> VerifyReport:
                 [sum(incidence[i][t] * power[t][j] for t in range(3)) for j in range(3)]
                 for i in range(3)
             ]
+        streams = [FixedPointStream(m, y) for y in range(3)]
         for letter, sweep in sorted(sweeps.items()):
-            diffs = _running_differences(FixedPointStream(m, letter), [l for l, _, _ in sweep])
-            for (l, expected, exact), counted in zip(sweep, diffs):
+            diffs = _running_differences(streams, letter, [l for l, _, _ in sweep])
+            for (l, expected, exact), counted in zip(sweep, diffs, strict=True):
                 if counted != expected:
                     record_failure(report, f"l={l}, letter={letter}: counted diff {counted}, expected {expected}")
                 if exact != counted:

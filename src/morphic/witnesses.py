@@ -103,6 +103,34 @@ class WitnessDecomposition:
         return self.n + self.k + 1
 
 
+# Each half depends on k and on half of the bits only, so it is shared by
+# many witnesses: 2^ceil(k/2) distinct left halves and 2^floor(k/2) right
+# ones for 2^k <= n < 2^(k+1).  256 of each keep every half for n < 2^17.
+@lru_cache(maxsize=256)
+def _left_half(k: int, even_bits: tuple[int, ...]) -> Word:
+    """The witness half before its anchor 2, from bits 0, 2, 4, ... of n."""
+    left = bytearray()
+    if k > 0:
+        if even_bits[0] == 1:
+            left.append(1)
+        left.append(2)
+    for i in range(1, (k - 1) // 2 + 1):
+        e = 2 * i + even_bits[i]
+        left += sigma_power_bytes(surplus_letter(e), e)
+    return Word(_TERN, left)
+
+
+@lru_cache(maxsize=256)
+def _right_half(k: int, odd_bits: tuple[int, ...]) -> Word:
+    """The witness half from its anchor 2 on, from bits 1, 3, 5, ... of n."""
+    right = bytearray()
+    for i in range(k // 2, 0, -1):
+        e = 2 * i - 1 + odd_bits[i - 1]
+        right += sigma_power_bytes(surplus_letter(e), e)
+    right.append(2)
+    return Word(_TERN, right)
+
+
 def witness(n: int) -> WitnessDecomposition:
     """Length-n factor attaining digit sum n + floor(log2 n) + 1."""
     if n < 1:
@@ -112,20 +140,7 @@ def witness(n: int) -> WitnessDecomposition:
     k = n.bit_length() - 1
     rem = n - (1 << k)
     bits = tuple((rem >> i) & 1 for i in range(k))
-    left = bytearray()
-    if n > 1:
-        if bits[0] == 1:
-            left.append(1)
-        left.append(2)
-    for i in range(1, (k - 1) // 2 + 1):
-        e = 2 * i + bits[2 * i]
-        left += sigma_power_bytes(surplus_letter(e), e)
-    right = bytearray()
-    for i in range(k // 2, 0, -1):
-        e = 2 * i - 1 + bits[2 * i - 1]
-        right += sigma_power_bytes(surplus_letter(e), e)
-    right.append(2)
-    left, right = Word(_TERN, left), Word(_TERN, right)
+    left, right = _left_half(k, bits[0::2]), _right_half(k, bits[1::2])
     whole = Word(_TERN, left.symbols + right.symbols)
     if len(whole) != n:
         raise RuntimeError(f"witness assembly produced length {len(whole)}, wanted {n}")

@@ -177,6 +177,17 @@ class Word:
         return sum(v * self.symbols.count(s) for s, v in enumerate(values))
 
 
+def _swap_table(c: int) -> bytes:
+    a, b = (x for x in (0, 1, 2) if x != c)
+    table = bytearray(range(256))
+    table[a], table[b] = b, a
+    return bytes(table)
+
+
+# _SWAPS[c] translates a symbol through tau(c, .)
+_SWAPS = tuple(_swap_table(c) for c in range(3))
+
+
 def tau(c: int, u: Word) -> Word:
     """Swap the two letters of {0,1,2} other than c, letterwise.
 
@@ -186,10 +197,7 @@ def tau(c: int, u: Word) -> Word:
         raise WordDomainError("letter exchange requires the alphabet {0,1,2}")
     if c not in (0, 1, 2):
         raise WordDomainError("fixed letter must be 0, 1 or 2")
-    a, b = (x for x in (0, 1, 2) if x != c)
-    table = bytearray(range(256))
-    table[a], table[b] = b, a
-    return Word(u.alphabet, u.symbols.translate(bytes(table)))
+    return Word(u.alphabet, u.symbols.translate(_SWAPS[c]))
 
 
 def code(coding: Coding, u: Word) -> Word:

@@ -19,6 +19,26 @@ def scan(tml):
     return FactorScanner(tml)
 
 
+def counts_with_a_flip_at_700(monkeypatch):
+    """dc-counts up to height 14 with symbol 700 of each counted word flipped.
+
+    700 lies in [2^9, 2^10), so the flip is inside sigma^l(x) for l >= 10
+    and outside it for l <= 9.  The word is built from shared blocks, so
+    the flip goes into the assembled chunk, not into a stream.
+    """
+    assembled = checks._word_chunks
+
+    def flipped(base, blocks):
+        for start, part in assembled(base, blocks):
+            if start <= 700 < start + len(part):
+                part = part.copy()
+                part[700 - start] = (part[700 - start] + 1) % 3
+            yield start, part
+
+    monkeypatch.setattr(checks, "_word_chunks", flipped)
+    return checks.verify_surplus_balance_counts(14)
+
+
 def test_floor_log2():
     assert [checks.floor_log2(n) for n in (1, 2, 3, 4, 7, 8)] == [0, 1, 1, 2, 2, 3]
     with pytest.raises(WordDomainError):
@@ -70,24 +90,42 @@ class TestVerifiers:
         assert not checks.verify_surplus_balance_counts(10).passed
 
     def test_surplus_balance_counts_count_each_prefix(self, monkeypatch):
-        # one symbol flipped inside [2^9, 2^10) lies in every prefix of
-        # length 2^l with l >= 10 and in none with l <= 9
-        class FlippedStream(FixedPointStream):
-            def array(self, n):
-                word = super().array(n).copy()
-                if n > 700:
-                    word[700] = (word[700] + 1) % 3
-                return word
-
-        monkeypatch.setattr(checks, "FixedPointStream", FlippedStream)
-        rep = checks.verify_surplus_balance_counts(14)
+        rep = counts_with_a_flip_at_700(monkeypatch)
         failing = {int(line.split(",")[0].removeprefix("l=")) for line in rep.failures}
         assert failing == set(range(10, 15))
         # both letters of each failing height, through both routes
         assert len(rep.failures) == 4 * len(failing)
 
+    def test_surplus_balance_counts_count_each_prefix_across_chunks(self, monkeypatch):
+        # chunks of 2^8 symbols: the flip lies in the third chunk, and every
+        # height from 8 up ends a chunk
+        monkeypatch.setattr(checks, "_COUNT_CHUNK", 1 << 8)
+        rep = counts_with_a_flip_at_700(monkeypatch)
+        assert {int(line.split(",")[0].removeprefix("l=")) for line in rep.failures} == set(range(10, 15))
+        assert len(rep.failures) == 20
+
+    def test_surplus_balance_counts_small_chunks(self, monkeypatch):
+        # one block of 2^8 symbols per chunk at height 16: heights inside
+        # the first chunk and at the ends of later ones
+        monkeypatch.setattr(checks, "_COUNT_CHUNK", 1 << 8)
+        rep = checks.verify_surplus_balance_counts(16)
+        assert rep.passed and rep.tuples_checked == 34
+
+    def test_surplus_balance_counts_reads_short_prefixes(self, monkeypatch):
+        # sigma^24(x) is built from prefixes of 2^12 symbols, not read as one
+        asked = []
+
+        class RecordingStream(FixedPointStream):
+            def array(self, n):
+                asked.append(n)
+                return super().array(n)
+
+        monkeypatch.setattr(checks, "FixedPointStream", RecordingStream)
+        assert checks.verify_surplus_balance_counts(24).passed
+        assert max(asked) <= 1 << 12
+
     def test_surplus_balance_counts_peak_memory(self):
-        # one prefix of 2^22 symbols plus counting chunks, never two prefixes
+        # two counting chunks of 2^20 symbols at most, never a prefix of 2^22
         checks.verify_surplus_balance_counts(4)  # imports and small caches first
         tracemalloc.start()
         try:
@@ -95,7 +133,7 @@ class TestVerifiers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**22 + 2 * 2**20
+        assert peak < 2 * 2**20 + 2**16
 
     @pytest.mark.parametrize("sweep", [checks.verify_witnesses, checks.verify_witness_affixes])
     def test_witness_sweeps_guard(self, sweep):

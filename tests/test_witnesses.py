@@ -96,6 +96,33 @@ class TestWitness:
         with pytest.raises(WordDomainError):
             witness(0)
 
+    def test_cached_halves_match_the_direct_assembly(self):
+        # every half rebuilt from all k bits of each n, with no cache
+        def halves(n):
+            k = n.bit_length() - 1
+            bits = [((n - (1 << k)) >> i) & 1 for i in range(k)]
+            left = bytearray()
+            if n > 1:
+                if bits[0] == 1:
+                    left.append(1)
+                left.append(2)
+            for i in range(1, (k - 1) // 2 + 1):
+                e = 2 * i + bits[2 * i]
+                left += sigma_power_bytes(surplus_letter(e), e)
+            right = bytearray()
+            for i in range(k // 2, 0, -1):
+                e = 2 * i - 1 + bits[2 * i - 1]
+                right += sigma_power_bytes(surplus_letter(e), e)
+            right.append(2)
+            return left, right
+
+        for n in range(1, (1 << 16) + 1):
+            w = witness(n)
+            left, right = halves(n)
+            assert w.left.symbols == left and w.right.symbols == right, n
+            whole = w.whole.symbols
+            assert len(whole) == n and whole.startswith(left) and whole.endswith(right), n
+
     def test_occurrence_memory_per_symbol(self):
         sigma_power_bytes.cache_clear()
         decomposition_haystack.cache_clear()

@@ -125,6 +125,10 @@ class TestOps:
         assert after[c] == before[c]
         assert after[others[0]] == before[others[1]]
 
+    def test_tau_swaps_the_other_two_letters(self):
+        w = Word.from_text(TERN, "0011220")
+        assert [str(tau(c, w)) for c in range(3)] == ["0022110", "2211002", "1100221"]
+
     def test_code_remaps_to_value_alphabet(self):
         w = Word.from_text(TERN, "0212")
         c = Coding(TERN, (0, 1, 3))
