@@ -126,7 +126,7 @@ def verify_swap_reverse_commutation(n_max: int, scanner: FactorScanner) -> Verif
         plus_failures = 0
         for n in range(1, n_max + 1):
             for b in scanner.factor_index(n):
-                u = Word(scanner.alphabet, b)
+                u = Word.from_checked(scanner.alphabet, b)
                 mu = m.apply(u)
                 for c in range(3):
                     checked += 1
@@ -157,7 +157,7 @@ def verify_mirror_closure(n_max: int, scanner: FactorScanner) -> VerifyReport:
         checked = 0
         for n in range(1, n_max + 1):
             for b in scanner.factor_index(n):
-                u = Word(scanner.alphabet, b)
+                u = Word.from_checked(scanner.alphabet, b)
                 for c in range(3):
                     checked += 1
                     if not is_factor(tau(c, u).mirror()):
@@ -370,7 +370,7 @@ def verify_shift_gain_exhaustive(scanner: FactorScanner) -> VerifyReport:
     with timed(report):
         factors = scanner.factor_index(3)
         for b in factors:
-            u = Word(scanner.alphabet, b)
+            u = Word.from_checked(scanner.alphabet, b)
             if not is_factor(u):
                 record_failure(report, f"u={u}: rejected by the pair-context membership test")
         expanded = b"".join(sigma_power_bytes(s, 6) for u in factors for s in u)

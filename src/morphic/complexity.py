@@ -27,11 +27,14 @@ gives the factor index: a length-n factor is a run of neighbours that
 share n symbols, and its first occurrence is the least start in the
 run.  ``suffix_order`` gives the sorted suffixes that the membership
 test in ``witnesses`` searches.  The attained digit sums of each length
-are kept, so checks that share a scanner scan each length once.  No
-window may exceed ``WINDOW_CAP`` symbols, nor may the factors a walk
-keeps: a larger one raises ResourceLimitError instead of exhausting
-memory, and so does a factor-count profile or a first-occurrence sort
-over a window of more than ``PROFILE_CAP``.
+come from a 64-bit mask when they span fewer than 64 values, from
+``np.bincount`` when they span at most the window's start count, and
+from ``np.unique`` otherwise; they are kept, so checks that share a
+scanner scan each length once.  No window may exceed ``WINDOW_CAP``
+symbols, nor may the factors a walk keeps: a larger one raises
+ResourceLimitError instead of exhausting memory, and so does a
+factor-count profile or a first-occurrence sort over a window of more
+than ``PROFILE_CAP``.
 """
 
 from __future__ import annotations
@@ -306,8 +309,17 @@ class FactorScanner:
 
         A window of a growing morphism is read only from its block
         starts (see ``_block_starts``), any other from every start.  The
-        sums go into one scratch buffer reused across lengths, and each
-        length's distinct sums are kept as a sorted array, so checks
+        sums go into one scratch buffer reused across lengths.  Their
+        distinct values come from one of three routes, by the spread
+        hi - lo of the scanned sums:
+
+        - below 64, as for ``tml``, whose sums at length n span
+          2 * floor(log2 n) + 2: each sum sets bit sum - lo of one 64-bit
+          mask, by one in-place shift and one OR-reduction;
+        - up to the window's start count: ``np.bincount`` of sum - lo;
+        - wider: ``np.unique``.
+
+        Each length's distinct sums are kept as a sorted array, so checks
         sharing a scanner scan each length once.
         """
         if n * self._max_value >= 1 << 63:
@@ -332,11 +344,19 @@ class FactorScanner:
                 np.subtract(cs[start + n : stop + n], cs[start:stop], out=vals[at : at + stop - start])
                 at += stop - start
             lo, hi = int(vals.min()), int(vals.max())
-            # Counting takes memory in proportion to hi - lo, bounded here by
-            # the window's start count.  Bounding it by the scanned count
-            # would send narrow codings to the plain np.unique, which
-            # imports numpy.ma in numpy 2.x.
-            if hi - lo + 1 <= L - n + 1:
+            if hi - lo < 64:
+                # bit v - lo of one int64 mask marks the sum v.  Bit 63 is
+                # the sign bit; Python reads a negative int's bits as two's
+                # complement, so mask >> 63 & 1 still finds it.
+                vals -= lo
+                np.left_shift(1, vals, out=vals)
+                mask = int(np.bitwise_or.reduce(vals))
+                present = np.array([lo + b for b in range(hi - lo + 1) if mask >> b & 1], dtype=np.int64)
+            elif hi - lo + 1 <= L - n + 1:
+                # Counting takes memory in proportion to hi - lo, bounded
+                # here by the window's start count.  Bounding it by the
+                # scanned count would send narrow codings to the plain
+                # np.unique, which imports numpy.ma in numpy 2.x.
                 vals -= lo
                 present = np.nonzero(np.bincount(vals))[0] + lo
             else:

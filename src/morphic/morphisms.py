@@ -1,4 +1,4 @@
-"""Letter-to-word morphisms, their iteration, and fixed-point streams.
+"""Letter-to-word morphisms and their fixed-point streams.
 
 Two independent generation routes are provided for uniform morphisms:
 prefix substitution (FixedPointStream) and direct digit-path
@@ -87,24 +87,7 @@ class Morphism:
     def apply(self, u: Word) -> Word:
         if u.alphabet != self.alphabet:
             raise WordDomainError("word over a different alphabet")
-        return Word(self.alphabet, b"".join(self.images[s].symbols for s in u.symbols))
-
-    def iterate(self, u: Word, k: int, cap: int = DEFAULT_LENGTH_CAP) -> Word:
-        """k-fold application; iterate(u, 0) == u.
-
-        Raises ResourceLimitError before materializing a result longer
-        than ``cap`` symbols.
-        """
-        if k < 0:
-            raise WordDomainError("iteration count must be non-negative")
-        lengths = tuple(len(im) for im in self.images)
-        w = u
-        for _ in range(k):
-            projected = sum(w.symbols.count(s) * lengths[s] for s in range(self.alphabet.size))
-            if projected > cap:
-                raise ResourceLimitError(f"iterate would exceed {cap} symbols")
-            w = self.apply(w)
-        return w
+        return Word.from_checked(self.alphabet, b"".join(self.images[s].symbols for s in u.symbols))
 
 
 class FixedPointStream:
@@ -214,7 +197,7 @@ class FixedPointStream:
         return self._buf[:n]
 
     def prefix(self, n: int) -> Word:
-        return Word(self.alphabet, bytes(self.array(n)))
+        return Word.from_checked(self.alphabet, bytes(self.array(n)))
 
 
 def _translate(view: np.ndarray, table: bytes) -> None:

@@ -117,7 +117,7 @@ def _left_half(k: int, even_bits: tuple[int, ...]) -> Word:
     for i in range(1, (k - 1) // 2 + 1):
         e = 2 * i + even_bits[i]
         left += sigma_power_bytes(surplus_letter(e), e)
-    return Word(_TERN, left)
+    return Word.from_checked(_TERN, bytes(left))
 
 
 @lru_cache(maxsize=256)
@@ -128,7 +128,7 @@ def _right_half(k: int, odd_bits: tuple[int, ...]) -> Word:
         e = 2 * i - 1 + odd_bits[i - 1]
         right += sigma_power_bytes(surplus_letter(e), e)
     right.append(2)
-    return Word(_TERN, right)
+    return Word.from_checked(_TERN, bytes(right))
 
 
 def witness(n: int) -> WitnessDecomposition:
@@ -141,7 +141,7 @@ def witness(n: int) -> WitnessDecomposition:
     rem = n - (1 << k)
     bits = tuple((rem >> i) & 1 for i in range(k))
     left, right = _left_half(k, bits[0::2]), _right_half(k, bits[1::2])
-    whole = Word(_TERN, left.symbols + right.symbols)
+    whole = Word.from_checked(_TERN, left.symbols + right.symbols)
     if len(whole) != n:
         raise RuntimeError(f"witness assembly produced length {len(whole)}, wanted {n}")
     return WitnessDecomposition(n, k, bits, left, right, whole)

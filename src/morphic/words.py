@@ -5,6 +5,17 @@ serves bare integer alphabets like {0,1,2}, named alphabets like
 {a,b,c}, and recoded integer alphabets such as {0,1,3}.  Words are
 immutable values backed by ``bytes``; every transformation returns a
 fresh word, so instances are safe to share between threads.
+
+The public constructor ``Word(alphabet, symbols)`` checks that every
+symbol indexes the alphabet.  Words the package builds from symbols it
+has already checked skip that pass through ``Word.from_checked``:
+reversal, slicing and letter swaps (``tau``) of a word, a morphism
+applied to a word over its own alphabet, stream prefixes (substituted
+from checked images), the extremal factors of ``witnesses`` (joined
+from powers of the three-letter substitution) and the factors that
+checks cut from a scanner's window.  None of these can produce a symbol
+outside the alphabet the word is declared over, so the check could
+only pass.
 """
 
 from __future__ import annotations
@@ -139,6 +150,19 @@ class Word:
         object.__setattr__(self, "symbols", symbols)
 
     @classmethod
+    def from_checked(cls, alphabet: Alphabet, symbols: bytes) -> "Word":
+        """A word over ``symbols`` that are known to index ``alphabet``.
+
+        Skips the range check of the constructor; the caller vouches
+        that ``symbols`` is ``bytes`` built from symbols of checked
+        words over the same alphabet.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "alphabet", alphabet)
+        object.__setattr__(word, "symbols", symbols)
+        return word
+
+    @classmethod
     def from_text(cls, alphabet: Alphabet, text: str) -> "Word":
         return cls(alphabet, alphabet.parse(text))
 
@@ -150,7 +174,7 @@ class Word:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.alphabet, self.symbols[i])
+            return Word.from_checked(self.alphabet, self.symbols[i])
         return self.symbols[i]
 
     def __str__(self) -> str:
@@ -160,7 +184,7 @@ class Word:
         return f"Word({self})"
 
     def mirror(self) -> "Word":
-        return Word(self.alphabet, self.symbols[::-1])
+        return Word.from_checked(self.alphabet, self.symbols[::-1])
 
     def parikh(self) -> tuple[int, ...]:
         """Per-letter occurrence counts, in alphabet order."""
@@ -174,7 +198,7 @@ class Word:
             if coding.alphabet != self.alphabet:
                 raise WordDomainError("coding is over a different alphabet")
             values = coding.values
-        return sum(v * self.symbols.count(s) for s, v in enumerate(values))
+        return sum(v * self.symbols.count(s) for s, v in enumerate(values) if v)
 
 
 def _swap_table(c: int) -> bytes:
@@ -197,7 +221,7 @@ def tau(c: int, u: Word) -> Word:
         raise WordDomainError("letter exchange requires the alphabet {0,1,2}")
     if c not in (0, 1, 2):
         raise WordDomainError("fixed letter must be 0, 1 or 2")
-    return Word(u.alphabet, u.symbols.translate(_SWAPS[c]))
+    return Word.from_checked(u.alphabet, u.symbols.translate(_SWAPS[c]))
 
 
 def code(coding: Coding, u: Word) -> Word:

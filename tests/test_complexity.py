@@ -135,6 +135,49 @@ class TestScanner:
         assert sc.recurrence_index(5) == 5
 
 
+def every_start_sums(scanner: FactorScanner, n: int) -> frozenset[int]:
+    """Digit sums of every length-n window start of ``window(n)``."""
+    window = scanner.window(n).tolist()
+    coded = scanner.coding.values
+    return frozenset(sum(coded[s] for s in window[i : i + n]) for i in range(len(window) - n + 1))
+
+
+class TestDigitSumRoutes:
+    """The 64-bit mask route, at spreads hi - lo on both sides of 64.
+
+    At length 1 the sums are the coded letter values, so each coding
+    below spreads exactly ``spread``; longer lengths spread wider and
+    cross into the counting and np.unique routes.
+    """
+
+    @pytest.mark.parametrize("make_stream", [ternary_stream, sigma3_stream], ids=["tml", "sigma3"])
+    @pytest.mark.parametrize("spread", [62, 63, 64, 65])
+    @pytest.mark.parametrize("shape", ["top", "negative"])
+    def test_matches_every_start(self, make_stream, spread, shape):
+        stream = make_stream()
+        values = (0, 1, spread) if shape == "top" else (2 - spread, 1, 2)
+        scanner = FactorScanner(stream, Coding(stream.alphabet, values))
+        got = scanner.digit_sum_set(1)
+        assert max(got) - min(got) == spread
+        for n in range(1, 25):
+            expected = every_start_sums(scanner, n)
+            assert scanner.digit_sum_set(n) == expected, n
+            assert scanner.digit_sum_set(n) == expected, n  # from the cache
+
+    def test_narrow_spread_counts_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spread below 64 reached np.bincount or np.unique")
+
+        stream = ternary_stream()
+        scanner = FactorScanner(stream, Coding(TERN, (0, 1, 63)))
+        monkeypatch.setattr(np, "bincount", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        assert scanner.digit_sum_set(1) == frozenset({0, 1, 63})
+        kept = scanner._digit_sums[1]
+        assert kept.dtype == np.int64
+        assert kept.tolist() == [0, 1, 63]
+
+
 def bounded_letter_stream() -> FixedPointStream:
     spec = parse_morphism_spec("a -> aab\nb -> b\n")
     return FixedPointStream(spec.morphism, spec.seed)

@@ -91,7 +91,6 @@ def test_automatic_prefix_substitutes_no_word(monkeypatch):
 
     monkeypatch.setattr(morphisms, "FixedPointStream", refuse)
     monkeypatch.setattr(Morphism, "apply", refuse)
-    monkeypatch.setattr(Morphism, "iterate", refuse)
     rng = np.random.default_rng(17)
     wide = [bytearray(rng.integers(0, 4, 17, dtype=np.uint8).tobytes()) for _ in range(4)]
     wide[0][0] = 0

@@ -24,6 +24,13 @@ def word(text: str) -> Word:
     return Word.from_text(TERN, text)
 
 
+def power(m: Morphism, u: Word, k: int) -> Word:
+    """sigma^k(u) by k applications."""
+    for _ in range(k):
+        u = m.apply(u)
+    return u
+
+
 class TestMorphism:
     def test_preset_images(self):
         m, seed = preset("tml")
@@ -34,16 +41,6 @@ class TestMorphism:
     def test_apply(self):
         m, _ = preset("tml")
         assert str(m.apply(word("012"))) == "011220"
-
-    def test_iterate(self):
-        m, _ = preset("tml")
-        assert str(m.iterate(word("0"), 3)) == "01121220"
-        assert m.iterate(word("012"), 0) == word("012")
-
-    def test_iterate_cap(self):
-        m, _ = preset("tml")
-        with pytest.raises(ResourceLimitError):
-            m.iterate(word("0"), 40, cap=10**6)
 
     def test_image_count_must_match(self):
         with pytest.raises(WordDomainError):
@@ -133,7 +130,7 @@ class TestFixedPointStream:
             s = FixedPointStream(m, 0)
             prefix = s.array(n)
             assert n <= s.materialized < n + widest
-            assert prefix.tobytes() == m.iterate(Word(alpha, b"\x00"), 12).symbols[:n]
+            assert prefix.tobytes() == power(m, Word(alpha, b"\x00"), 12).symbols[:n]
 
     def test_self_similarity(self, tml):
         # each substitution step maps the length-n prefix onto the length-2n prefix
@@ -158,7 +155,7 @@ class TestFixedPointStream:
     def test_non_uniform_fallback_matches_iterate(self):
         m = Morphism(TERN, (word("001"), word("0"), word("2")))
         s = FixedPointStream(m, 0)
-        w = m.iterate(word("0"), 7)
+        w = power(m, word("0"), 7)
         assert bytes(s.array(len(w))) == w.symbols
 
 

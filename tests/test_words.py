@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from morphic import checks, witnesses
+from morphic.morphisms import FixedPointStream, preset
 from morphic.words import (
     Alphabet,
     Coding,
@@ -144,3 +146,63 @@ class TestOps:
     def test_coding_identity(self):
         c = Coding.identity(TERN)
         assert c.values == (0, 1, 2)
+
+
+class TestCheckedConstruction:
+    """Words built from checked symbols equal the validated construction."""
+
+    @pytest.mark.parametrize("alphabet", [TERN, Alphabet((0, 2, 5)), Alphabet((0, 1), ("a", "b"))])
+    def test_public_constructor_still_validates(self, alphabet):
+        with pytest.raises(WordDomainError):
+            Word(alphabet, bytes([alphabet.size]))
+        with pytest.raises(WordDomainError):
+            Word(alphabet, bytes([0, alphabet.size, 0]))
+
+    @staticmethod
+    def same(w: Word) -> None:
+        assert type(w.symbols) is bytes
+        assert w == Word(w.alphabet, w.symbols)
+
+    @given(ternary_words, st.integers(0, 2), st.integers(-41, 41), st.integers(-41, 41))
+    def test_word_operations(self, w, c, i, j):
+        for built in (w.mirror(), tau(c, w), w[i:j], w[::-1]):
+            self.same(built)
+        assert w.mirror() == Word(TERN, w.symbols[::-1])
+        assert tau(c, w) == Word(TERN, bytes(x if x == c else 3 - c - x for x in w.symbols))
+        assert w[i:j] == Word(TERN, w.symbols[i:j])
+
+    @pytest.mark.parametrize("name", ["tml", "sigma3"])
+    def test_apply_and_prefix(self, name):
+        m, seed = preset(name)
+        stream = FixedPointStream(m, seed)
+        for n in (1, 2, 7, 100):
+            prefix = stream.prefix(n)
+            self.same(prefix)
+            image = m.apply(prefix)
+            self.same(image)
+            assert image == Word(m.alphabet, b"".join(m.images[s].symbols for s in prefix.symbols))
+            assert image == stream.prefix(len(image))
+
+    def test_witness_words(self):
+        for n in (1, 2, 3, 100, 1023, 1024, 4095):
+            w = witnesses.witness(n)
+            for built in (w.left, w.right, w.whole):
+                self.same(built)
+            assert w.whole == Word(TERN, w.left.symbols + w.right.symbols)
+
+    def test_witness_sweep_validates_nothing(self, monkeypatch):
+        calls = []
+        validate = Word.__post_init__
+
+        def counting(self):
+            calls.append(len(self.symbols))
+            validate(self)
+
+        witnesses._left_half.cache_clear()
+        witnesses._right_half.cache_clear()
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        Word(TERN, b"\x00")  # the patch is live for the public constructor
+        assert calls == [1]
+        calls.clear()
+        assert checks.verify_witnesses(256).failures == []
+        assert calls == []
