@@ -179,8 +179,6 @@ class FactorScanner:
         self._ds_scratch: np.ndarray | None = None
         self._digit_sums: dict[int, np.ndarray] = {}
         self._letter_cumsums: dict[int, np.ndarray] = {}
-        self._profile: np.ndarray | None = None
-        self._profile_n_max = 0
         # sorted_suffixes of the longest window that first starts were asked of
         self._suffixes: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -419,18 +417,15 @@ class FactorScanner:
         return window
 
     def distinct_profile(self, n_max: int) -> np.ndarray:
-        """rho(1..n_max) as an array; cached and extended on demand.
+        """rho(1..n_max) as an array, from one sort of ``window(n_max)``.
 
         A factor of an infinite word extends to the right, so the window
         for n_max also holds every shorter factor.
         """
         if n_max < 1:
             return np.zeros(0, dtype=np.int64)
-        if self._profile is None or self._profile_n_max < n_max:
-            window = self._sortable_window(n_max, f"factor counts up to length {n_max}")
-            self._profile = distinct_substring_profile(window, n_max)
-            self._profile_n_max = n_max
-        return self._profile[:n_max]
+        window = self._sortable_window(n_max, f"factor counts up to length {n_max}")
+        return distinct_substring_profile(window, n_max)
 
     def subword_complexity(self, n: int) -> int:
         return len(self._first_starts(n))

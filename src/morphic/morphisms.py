@@ -316,6 +316,8 @@ def parse_morphism_spec(text: str) -> MorphismSpec:
         elif "=" in line:
             head, _, value = line.partition("=")
             head = head.strip()
+            if head in coding_lines:
+                raise MorphismParseError(f"line {lineno}: duplicate coding for {head!r}")
             try:
                 coding_lines[head] = int(value.strip())
             except ValueError:

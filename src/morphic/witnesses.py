@@ -16,7 +16,7 @@ between them is evidence, not circularity.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,8 +33,8 @@ WITNESS_CAP = 1 << 23
 # scan is slower (3.3 against 7.1 us a search at 5120 symbols, 4.3 against
 # 0.9 at 1024), and at most INDEX_CAP: the order keeps 4 bytes per symbol
 # and peaks near 40 (tracemalloc) while it is built.  Longer haystacks, met
-# only by words of more than 16385 symbols and witnesses of 2**17 symbols
-# or more, are scanned linearly, which takes no memory.
+# only by words of more than 16385 symbols, are scanned linearly, which
+# takes no memory.
 INDEX_MIN = 1 << 12
 INDEX_CAP = 1 << 18
 
@@ -168,31 +168,6 @@ def _suffix_order(hay: bytes) -> memoryview:
     return memoryview(suffix_order(np.frombuffer(hay, dtype=np.uint8)))
 
 
-def _search(hay: bytes, pattern: bytes, least: bool) -> int:
-    """A start of ``pattern`` in ``hay``, the least one if ``least``; -1 if none.
-
-    The starts of the suffixes that begin with the pattern form one run
-    of the suffix order.  A binary search over the suffixes cut to the
-    pattern's length finds the run's first entry, and a second one its
-    end when the least start is asked for.  Haystacks outside
-    (INDEX_MIN, INDEX_CAP] are scanned linearly instead.
-    """
-    if not INDEX_MIN < len(hay) <= INDEX_CAP:
-        return hay.find(pattern)
-    order = _suffix_order(hay)
-    m = len(pattern)
-
-    def cut(i):
-        return hay[i : i + m]
-
-    lo = bisect_left(order, pattern, key=cut)
-    if lo == len(order) or cut(order[lo]) != pattern:
-        return -1
-    if not least:
-        return order[lo]
-    return min(order[lo : bisect_right(order, pattern, lo=lo, key=cut)])
-
-
 def is_factor(u: Word) -> bool:
     """Exact membership test for factors of the doubling fixed point.
 
@@ -201,7 +176,9 @@ def is_factor(u: Word) -> bool:
     lies inside sigma^K(xy) for some letter pair xy.  All nine pairs
     are factors and all occur in 0011220210, so the factors of length
     at most 2^K + 1 are exactly the windows of sigma^K(0011220210).
-    One search of that haystack (``_search``) decides membership.
+    One binary search over that haystack's suffixes, cut to the word's
+    length, decides membership; a haystack outside (INDEX_MIN,
+    INDEX_CAP] is scanned linearly instead.
     """
     if not u.alphabet.is_ternary:
         raise WordDomainError("membership test requires the alphabet {0,1,2}")
@@ -210,7 +187,17 @@ def is_factor(u: Word) -> bool:
         return True
     # the least K with len(data) <= 2^K + 1
     K = max(len(data) - 2, 0).bit_length()
-    return _search(factor_haystack(K), data, least=False) >= 0
+    hay = factor_haystack(K)
+    if not INDEX_MIN < len(hay) <= INDEX_CAP:
+        return data in hay
+    order = _suffix_order(hay)
+    m = len(data)
+
+    def cut(i):
+        return hay[i : i + m]
+
+    i = bisect_left(order, data, key=cut)
+    return i < len(order) and cut(order[i]) == data
 
 
 @lru_cache(maxsize=32)
@@ -227,16 +214,15 @@ def witness_occurrence(w: WitnessDecomposition) -> int:
     """Least index of the witness inside its occurrence context.
 
     For n = 1 the context is sigma^3(0), the first eight letters of the
-    fixed point.  The least start is the smallest entry of the run of
-    the context's suffix order that begins with the witness, or the
-    first match of a scan (``_search``).  Raises if the witness does not
+    fixed point.  The least start is the first match of one scan of the
+    context, which needs no index.  Raises if the witness does not
     occur, which would falsify the whole construction.
     """
     if w.n == 1:
         hay = sigma_power_bytes(0, 3)
     else:
         hay = decomposition_haystack(w.k)
-    idx = _search(hay, w.whole.symbols, least=True)
+    idx = hay.find(w.whole.symbols)
     if idx < 0:
         raise RuntimeError(f"witness of length {w.n} missing from its occurrence context")
     return idx

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import digit3_letter, popcount_letter
+from morphic.cli import main
 from morphic.morphisms import (
     DEFAULT_LENGTH_CAP,
     FixedPointStream,
@@ -240,3 +241,16 @@ class TestSpecParsing:
     def test_parse_error_carries_line_number(self):
         with pytest.raises(MorphismParseError, match="line 2"):
             parse_morphism_spec("0 -> 01\nwhat\n")
+
+    def test_duplicate_coding_line(self):
+        # a second value for a letter used to overwrite the first silently
+        with pytest.raises(MorphismParseError, match="^line 4: duplicate coding for 'a'$"):
+            parse_morphism_spec("a -> ab\nb -> ba\na = 1\na = 7\nb = 0\n")
+
+    def test_duplicate_coding_line_is_usage_error(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("a -> ab\nb -> ba\na = 1\na = 7\nb = 0\n")
+        assert main(["complexity", "--morphism", str(f), "--n-to", "4"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("morphic: ") and "line 4: duplicate coding for 'a'" in err

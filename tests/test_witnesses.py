@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphic import cli, witnesses
 from morphic.witnesses import (
     INDEX_CAP,
     INDEX_MIN,
@@ -225,8 +227,25 @@ class TestMembership:
         assert is_factor(Word(TERN, bytes(data))) == (bytes(data) in factor_haystack(15))
 
     def test_occurrence_is_the_least_start(self):
-        w = witness(1)
-        assert witness_occurrence(w) == sigma_power_bytes(0, 3).find(w.whole.symbols)
-        for n in range(2, 4097):
+        def first_start(hay, pattern):
+            for i in range(len(hay) - len(pattern) + 1):
+                if hay[i : i + len(pattern)] == pattern:
+                    return i
+            return -1
+
+        edges = {m for j in range(13) for m in ((1 << j) - 1, 1 << j, (1 << j) + 1)}
+        for n in sorted(set(range(1, 513)) | {m for m in edges if 1 <= m <= 4096}):
             w = witness(n)
-            assert witness_occurrence(w) == decomposition_haystack(w.k).find(w.whole.symbols), n
+            hay = sigma_power_bytes(0, 3) if n == 1 else decomposition_haystack(w.k)
+            assert witness_occurrence(w) == first_start(hay, w.whole.symbols), n
+
+    def test_occurrence_builds_no_suffix_order(self, monkeypatch, capsys):
+        def refuse(data):
+            raise AssertionError("suffix order built for a witness occurrence")
+
+        monkeypatch.setattr(witnesses, "suffix_order", refuse)
+        witnesses._suffix_order.cache_clear()
+        for n in range(1, 4097):
+            assert witness_occurrence(witness(n)) >= 0
+        assert cli.main(["witness", "--length", "32768", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 32768
