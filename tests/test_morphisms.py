@@ -243,7 +243,6 @@ class TestSpecParsing:
             parse_morphism_spec("0 -> 01\nwhat\n")
 
     def test_duplicate_coding_line(self):
-        # a second value for a letter used to overwrite the first silently
         with pytest.raises(MorphismParseError, match="^line 4: duplicate coding for 'a'$"):
             parse_morphism_spec("a -> ab\nb -> ba\na = 1\na = 7\nb = 0\n")
 
