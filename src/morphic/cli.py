@@ -186,11 +186,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (WordDomainError, MorphismParseError, ResourceLimitError) as exc:
-        print(f"morphic: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (WordDomainError, MorphismParseError, ResourceLimitError, OSError) as exc:
+        print(f"morphic: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -25,16 +25,15 @@ from the window's suffixes sorted by prefix doubling, with the common
 prefix of each pair of neighbours (``sorted_suffixes``).  The same sort
 gives the factor index: a length-n factor is a run of neighbours that
 share n symbols, and its first occurrence is the least start in the
-run.  ``suffix_order`` gives the sorted suffixes that the membership
-test in ``witnesses`` searches.  The attained digit sums of each length
-come from a 64-bit mask when they span fewer than 64 values, from
-``np.bincount`` when they span at most the window's start count, and
-from ``np.unique`` otherwise; they are kept, so checks that share a
-scanner scan each length once.  No window may exceed ``WINDOW_CAP``
+run.  A scanner keeps one such sort, only as deep as asked, and reads
+shorter lengths of its window from it (``FactorScanner._sorted``).
+``suffix_order`` gives the sorted suffixes that the membership test in
+``witnesses`` searches.  The attained digit sums of each length are
+kept (``digit_sum_set`` gives their three routes), so checks that share
+a scanner scan each length once.  No window may exceed ``WINDOW_CAP``
 symbols, nor may the factors a walk keeps: a larger one raises
-ResourceLimitError instead of exhausting memory, and so does a
-factor-count profile or a first-occurrence sort over a window of more
-than ``PROFILE_CAP``.
+ResourceLimitError instead of exhausting memory, and so does a sort
+of a window of more than ``PROFILE_CAP``.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from .morphisms import FixedPointStream
 from .words import Alphabet, Coding, ResourceLimitError, WordDomainError
 
 WINDOW_CAP = 1 << 26
-# Prefix doubling peaks at about 80 bytes per symbol for n_max = 256 and
-# 145 for n_max = 2**21 (tracemalloc), 170 to 300 MB at this cap.
+# A sort peaks at 63 to 70 bytes per symbol at depth 256 and 97 to 109
+# past depth 2**16 (tracemalloc), about 230 MB at this cap; it keeps 8.
 PROFILE_CAP = 1 << 21
 
 
@@ -107,45 +106,42 @@ def suffix_order(data: np.ndarray) -> np.ndarray:
 
 def sorted_suffixes(data: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The starts of ``data`` sorted by their first n_max symbols, and
-    the common prefix length of each pair of neighbours in that order.
+    the common prefix of each pair of neighbours in that order, as int32.
 
-    Sorting by the top level of ``prefix_doubling`` puts the suffixes
-    that share a prefix of any length n <= n_max next to each other.
-    The common prefix of two neighbours is found by descending the
-    levels; it is exact below n_max and at least n_max otherwise, and
-    exact everywhere when n_max >= len(data).
+    Sorting by the top level of ``prefix_doubling``, the first
+    2**j >= n_max symbols, puts the suffixes that share a prefix of any
+    length n <= 2**j next to each other.  The common prefix of two
+    neighbours is found by descending the levels; it is exact below
+    2**j and at least 2**j otherwise, exact everywhere if n_max >= len(data).
     """
     N = len(data)
     levels = list(prefix_doubling(data, n_max))
-    order = np.argsort(levels[-1])
+    order = np.argsort(levels[-1]).astype(np.int32)
     left, right = order[:-1], order[1:]
-    lcp = np.zeros(len(left), dtype=np.int64)
+    lcp = np.zeros(len(left), dtype=np.int32)
     for j in range(len(levels) - 1, -1, -1):
         level = levels[j]
         a, b = left + lcp, right + lcp
         same = (a < N) & (b < N)
         same &= level[np.minimum(a, N - 1)] == level[np.minimum(b, N - 1)]
-        lcp += same.astype(np.int64) << j
+        lcp += same.astype(np.int32) << j
     return order, lcp
 
 
-def distinct_substring_profile(data: np.ndarray, n_max: int) -> np.ndarray:
-    """Count distinct substrings of each length 1..n_max of ``data``.
-
-    From the neighbours of ``sorted_suffixes(data, n_max)``,
+def distinct_substring_profile(order: np.ndarray, lcp: np.ndarray, n_max: int) -> np.ndarray:
+    """Count distinct substrings of each length 1..n_max of a string,
+    from the ``order`` and ``lcp`` of its ``sorted_suffixes`` to depth
+    at least n_max:
 
         count(n) = #suffixes of length >= n - #neighbours sharing >= n symbols.
 
     Returns an int64 array p with p[i] = number of distinct substrings
     of length i + 1.
     """
-    if n_max < 1:
-        return np.zeros(0, dtype=np.int64)
-    lcp = sorted_suffixes(data, n_max)[1]
     shared = np.bincount(np.minimum(lcp, n_max), minlength=n_max + 1)
     # shared_at_least[n] = number of neighbours sharing at least n symbols
     shared_at_least = np.cumsum(shared[::-1])[::-1]
-    suffixes = np.maximum(len(data) + 1 - np.arange(1, n_max + 1), 0)
+    suffixes = np.maximum(len(order) + 1 - np.arange(1, n_max + 1), 0)
     return suffixes - shared_at_least[1:]
 
 
@@ -179,8 +175,8 @@ class FactorScanner:
         self._ds_scratch: np.ndarray | None = None
         self._digit_sums: dict[int, np.ndarray] = {}
         self._letter_cumsums: dict[int, np.ndarray] = {}
-        # sorted_suffixes of the longest window that first starts were asked of
-        self._suffixes: tuple[np.ndarray, np.ndarray] | None = None
+        # (2**j, order, lcp): the one kept sort, exact up to length 2**j
+        self._sort: tuple[int, np.ndarray, np.ndarray] | None = None
 
     @property
     def alphabet(self) -> Alphabet:
@@ -407,47 +403,46 @@ class FactorScanner:
     def abelian_complexity(self, n: int) -> int:
         return len(self.parikh_set(n))
 
-    def _sortable_window(self, n: int, what: str) -> np.ndarray:
-        """``window(n)``, refused before any sort if over ``PROFILE_CAP``."""
+    def _sorted(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``sorted_suffixes`` of a window holding every length-n factor.
+
+        A sort to depth d is exact for every length up to d rounded up to
+        a power of two, and a longer prefix holds every factor at the same
+        first start, so the one kept sort answers such lengths whose
+        window it holds; any other length sorts ``window(n)`` to depth n.
+        """
         window = self.window(n)
         if len(window) > PROFILE_CAP:
             raise ResourceLimitError(
-                f"{what} need a {len(window)}-symbol window, over the profile cap of {PROFILE_CAP}"
+                f"length-{n} factors need a {len(window)}-symbol window, over the profile cap of {PROFILE_CAP}"
             )
-        return window
+        if self._sort is None or len(self._sort[1]) < len(window) or self._sort[0] < n:
+            self._sort = (1 << (n - 1).bit_length(), *sorted_suffixes(window, n))
+        return self._sort[1:]
 
     def distinct_profile(self, n_max: int) -> np.ndarray:
-        """rho(1..n_max) as an array, from one sort of ``window(n_max)``.
+        """rho(1..n_max) as an array, from ``_sorted(n_max)``.
 
         A factor of an infinite word extends to the right, so the window
         for n_max also holds every shorter factor.
         """
-        if n_max < 1:
-            return np.zeros(0, dtype=np.int64)
-        window = self._sortable_window(n_max, f"factor counts up to length {n_max}")
-        return distinct_substring_profile(window, n_max)
+        return distinct_substring_profile(*self._sorted(n_max), n_max)
 
     def subword_complexity(self, n: int) -> int:
         return len(self._first_starts(n))
 
     def _first_starts(self, n: int) -> np.ndarray:
-        """Sorted first starts of the distinct length-n windows of ``window(n)``.
+        """Sorted first starts of the distinct length-n factors.
 
-        In ``sorted_suffixes`` of a prefix, a length-n factor is a run of
-        neighbours that share at least n symbols, and its first start is
-        the least start in the run; a suffix shorter than n is a run of
-        its own and starts past len(window(n)) - n.  A longer prefix
-        holds every shorter factor at the same first start, so the sort
-        of the longest window asked so far answers every length whose
-        window is no longer.
+        In ``_sorted(n)``, a factor is a run of neighbours that share at
+        least n symbols, and its first start is the least start in the
+        run; a suffix shorter than n is a run of its own and starts past
+        len(order) - n.
         """
-        window = self._sortable_window(n, f"first occurrences of length {n}")
-        if self._suffixes is None or len(self._suffixes[0]) < len(window):
-            self._suffixes = sorted_suffixes(window, len(window))
-        order, lcp = self._suffixes
+        order, lcp = self._sorted(n)
         heads = np.concatenate(([0], np.flatnonzero(lcp < n) + 1))
         first = np.minimum.reduceat(order, heads)
-        first = first[first <= len(window) - n]
+        first = first[first <= len(order) - n]
         first.sort()
         return first
 

@@ -362,9 +362,11 @@ def parse_morphism_spec(text: str) -> MorphismSpec:
 def load_morphism_file(path: str | Path) -> MorphismSpec:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise MorphismParseError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MorphismParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:
         return parse_morphism_spec(text)
     except MorphismParseError as exc:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from morphic.cli import main, parse_coding
+from morphic.regularity import KERNEL_T_MAX
 from morphic.witnesses import WITNESS_CAP
 from morphic.words import WordDomainError, ternary_alphabet
 
@@ -351,6 +352,58 @@ class TestWitness:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("morphic: ") and proc.stderr.count("\n") == 1
         assert "exceeds the cap" in proc.stderr
+
+
+# one small run of each subcommand, which writes its output to --out
+SUBCOMMANDS = {
+    "generate": ["generate", "--length", "4"],
+    "complexity": ["complexity", "--n-to", "4"],
+    "verify": ["verify", "theorem1", "--n-max", "4"],
+    "ivp": ["ivp", "--n-to", "4"],
+    "witness": ["witness", "--length", "3"],
+}
+
+
+class TestUsageErrors:
+    """Bad input exits 2 with one ``morphic: `` line and no stdout."""
+
+    @staticmethod
+    def assert_usage_error(code, out, err, message=""):
+        assert code == 2 and out == ""
+        assert err.startswith("morphic: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_unwritable_out(self, capsys, tmp_path, command, target):
+        path = tmp_path / "missing" / "out.txt" if target == "missing-directory" else tmp_path
+        self.assert_usage_error(*run(capsys, *SUBCOMMANDS[command], "--out", str(path)))
+
+    def test_morphism_file_not_utf8(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"a -> ab\xff\nb -> ba\n")
+        code, out, err = run(capsys, "generate", "--morphism", str(f), "--length", "4")
+        self.assert_usage_error(code, out, err, f"{f}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--coding", "a=1,a=2,b=0"], "coding repeats letter"),
+            (["--coding", "a=1,b=x,c=0"], "bad coding value"),
+            (["--coding", "a=1,b=2"], "coding must cover every letter"),
+            (["--morphism", "FILE"], "bad letter token"),
+            (["witness", "--length", str(WITNESS_CAP + 1)], "exceeds the cap"),
+            (["verify", "kernel", "--n-max", str(KERNEL_T_MAX + 1)], "exceeds the cap"),
+        ],
+        ids=["repeated-letter", "bad-value", "uncovered-letter", "bad-letter-token", "witness-cap", "kernel-cap"],
+    )
+    def test_input_error(self, capsys, tmp_path, argv, message):
+        f = tmp_path / "m.txt"
+        f.write_text("a b -> ab\n")
+        if argv[0].startswith("--"):
+            argv = ["generate", "--preset", "sigma3", "--length", "4", *argv]
+        argv = [str(f) if a == "FILE" else a for a in argv]
+        self.assert_usage_error(*run(capsys, *argv), message)
 
 
 def test_console_script_round_trip():

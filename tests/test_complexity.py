@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from morphic.complexity import (
     FactorScanner,
     build_complexity_table,
     distinct_substring_profile,
+    sorted_suffixes,
 )
 from morphic.ivp import sigma3_stream
 from morphic.morphisms import FixedPointStream, Morphism, parse_morphism_spec
@@ -68,19 +70,21 @@ class TestProfile:
     @example(b"\x00\x02\x01\x06", 2)
     @example(b"a\xffa", 3)
     def test_distinct_profile_matches_brute(self, data, n_max):
-        got = distinct_substring_profile(np.frombuffer(data, dtype=np.uint8), n_max)
+        data_array = np.frombuffer(data, dtype=np.uint8)
+        got = distinct_substring_profile(*sorted_suffixes(data_array, n_max), n_max)
         expected = [len(brute_factors(data, n)) for n in range(1, n_max + 1)]
         assert got.tolist() == expected
 
     def test_profile_empty_for_nonpositive(self):
-        assert distinct_substring_profile(np.frombuffer(b"abc", dtype=np.uint8), 0).tolist() == []
+        data = np.frombuffer(b"abc", dtype=np.uint8)
+        assert distinct_substring_profile(*sorted_suffixes(data, 0), 0).tolist() == []
 
     def test_profile_memory_per_symbol(self, s3_scan):
         window = s3_scan.window(256)
         assert len(window) == 33534
         tracemalloc.start()
         try:
-            distinct_substring_profile(window, 256)
+            distinct_substring_profile(*sorted_suffixes(window, 256), 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,6 +128,23 @@ class TestScanner:
             tml_scan.digit_sum_set(0)
         with pytest.raises(WordDomainError):
             tml_scan.subword_complexity(0)
+
+    @pytest.mark.parametrize(
+        "query, error, message",
+        [
+            # Chacon keeps 2n - 1 factors of length n: 59 * 30 symbols pass a cap of 1000
+            (lambda scanner: scanner.window(30), ResourceLimitError, "factors of length 30 exceed the cap of 1000"),
+            (lambda scanner: scanner.distinct_profile(0), WordDomainError, "factor length must be positive"),
+        ],
+        ids=["walk-cap", "profile-of-length-0"],
+    )
+    def test_refused(self, monkeypatch, query, error, message):
+        monkeypatch.setattr(complexity, "WINDOW_CAP", 1000)
+        spec = parse_morphism_spec("0 -> 0010\n1 -> 1\n")
+        scanner = FactorScanner(FixedPointStream(spec.morphism, spec.seed))
+        assert len(scanner.window(20)) == 86
+        with pytest.raises(error, match=message):
+            query(scanner)
 
     def test_single_letter_word_degenerates(self):
         m = Morphism(TERN, tuple(Word(TERN, bytes((s, s))) for s in range(3)))
@@ -201,8 +222,8 @@ class TestFactorIndex:
         ids=["tml", "sigma3", "aab"],
     )
     def test_matches_the_per_start_loop(self, make_stream, lengths):
-        # a rising sweep sorts again only when the window grows; a falling
-        # one answers every length from its first sort
+        # a rising sweep sorts again when the window grows or n passes a
+        # power of two; a falling one answers every length from its first sort
         self.check(FactorScanner(make_stream()), lengths)
         self.check(FactorScanner(make_stream()), reversed(lengths))
 
@@ -214,9 +235,65 @@ class TestFactorIndex:
         monkeypatch.setattr(complexity, "prefix_doubling", no_sort)
         scanner = FactorScanner(ternary_stream())
         assert len(scanner.window(65538)) == 3801088 > PROFILE_CAP
-        for query in (scanner.factor_index, scanner.recurrence_index, scanner.subword_complexity):
+        queries = (scanner.factor_index, scanner.recurrence_index, scanner.subword_complexity, scanner.distinct_profile)
+        for query in queries:
             with pytest.raises(ResourceLimitError, match="profile cap"):
                 query(65538)
+
+
+class TestKeptSort:
+    """Factor counts and first occurrences read one kept sort per scanner,
+    only as deep as the length asked, rounded up to a power of two."""
+
+    @staticmethod
+    def record(monkeypatch) -> list[tuple[int, int]]:
+        """(window length, depth) of every sort the scanner makes."""
+        sorts = []
+        real = complexity.sorted_suffixes
+
+        def recorded(data, n_max):
+            sorts.append((len(data), n_max))
+            return real(data, n_max)
+
+        monkeypatch.setattr(complexity, "sorted_suffixes", recorded)
+        return sorts
+
+    def test_one_sort_for_the_whole_sweep(self, monkeypatch):
+        sorts = self.record(monkeypatch)
+        scanner = FactorScanner(ternary_stream())
+        profile = scanner.distinct_profile(256)
+        for n in range(1, 257):
+            index = scanner.factor_index(n)
+            assert scanner.recurrence_index(n) == max(index.values()) + n
+            assert scanner.subword_complexity(n) == len(index) == profile[n - 1]
+        assert sorts == [(len(scanner.window(256)), 256)]
+
+    def test_rising_sweep_sorts_as_deep_as_asked(self, monkeypatch):
+        sorts = self.record(monkeypatch)
+        scanner = FactorScanner(ternary_stream())
+        expected = []
+        for n in range(1, 131):
+            before = len(sorts)
+            scanner.recurrence_index(n)
+            if len(sorts) > before:
+                expected.append((len(scanner.window(n)), n))
+        assert sorts == expected
+        # each block power has a window length of its own: every one is
+        # sorted when the window grows, and again when n passes 2**K
+        per_window = Counter(length for length, _ in sorts)
+        assert set(per_window) == {len(scanner.window(n)) for n in range(1, 131)}
+        assert max(per_window.values()) <= 2
+
+    def test_kept_sort_of_a_longer_window(self, monkeypatch):
+        scanner = FactorScanner(ternary_stream())
+        scanner.recurrence_index(512)
+        sorts = self.record(monkeypatch)
+        for m in (1, 2, 3, 100, 257):
+            window = scanner.window(m)
+            assert len(window) < len(scanner.window(512))
+            expected = distinct_substring_profile(*sorted_suffixes(window, m), m)
+            assert scanner.distinct_profile(m).tolist() == expected.tolist(), m
+        assert sorts == []
 
 
 class TestTable:

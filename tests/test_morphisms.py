@@ -61,6 +61,23 @@ class TestMorphism:
         m = Morphism(TERN, (word("001"), word("0"), word("2")))
         assert m.uniform_width is None
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: preset("nope"), "unknown preset"),
+            (lambda: FixedPointStream(preset("tml")[0], 3), "seed symbol out of range"),
+            (
+                lambda: Morphism(TERN, (word("01"), word("12"), Word(Alphabet((0, 1, 2, 3)), b"\x03"))),
+                "image over a different alphabet",
+            ),
+            (lambda: automatic_prefix(Morphism(TERN, (word("10"), word("01"), word("22"))), 0, 4), "not prolongable"),
+        ],
+        ids=["unknown-preset", "seed-out-of-range", "image-alphabet", "automatic-not-prolongable"],
+    )
+    def test_invalid_construction(self, build, message):
+        with pytest.raises(WordDomainError, match=message):
+            build()
+
 
 class TestFixedPointStream:
     def test_prefix_32(self, tml):

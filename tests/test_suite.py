@@ -8,11 +8,17 @@ from morphic.complexity import FactorScanner
 from morphic.morphisms import FixedPointStream, preset
 from morphic.reports import VerifyReport
 from morphic.suite import ALL_CHECK_NAMES, SuiteContext, run_check
+from morphic.words import WordDomainError
 
 
 @pytest.fixture(scope="module")
 def context():
     return SuiteContext()
+
+
+def test_unknown_check_is_refused():
+    with pytest.raises(WordDomainError, match="unknown check 'nope'"):
+        run_check("nope")
 
 
 @pytest.mark.parametrize("name", ALL_CHECK_NAMES)

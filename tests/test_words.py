@@ -15,6 +15,7 @@ from morphic.words import (
 )
 
 TERN = ternary_alphabet()
+OTHER_CODING = Coding(Alphabet((0, 1, 3)), (0, 1, 3))
 
 ternary_words = st.binary(max_size=40).map(
     lambda b: Word(TERN, bytes(x % 3 for x in b))
@@ -142,6 +143,21 @@ class TestOps:
         c = Coding(TERN, (-1, 0, 1))
         with pytest.raises(WordDomainError):
             code(c, Word.from_text(TERN, "012"))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Coding(TERN, (0, 1)), "exactly one value per letter"),
+            (lambda: tau(0, Word(Alphabet((0, 1)), b"\x01")), "requires the alphabet"),
+            (lambda: tau(3, Word.from_text(TERN, "012")), "fixed letter must be 0, 1 or 2"),
+            (lambda: Word.from_text(TERN, "012").digit_sum(OTHER_CODING), "different alphabet"),
+            (lambda: code(OTHER_CODING, Word.from_text(TERN, "012")), "different alphabet"),
+        ],
+        ids=["coding-length", "tau-alphabet", "tau-letter", "digit-sum-coding", "code-coding"],
+    )
+    def test_invalid_arguments(self, call, message):
+        with pytest.raises(WordDomainError, match=message):
+            call()
 
     def test_coding_identity(self):
         c = Coding.identity(TERN)
