@@ -6,6 +6,7 @@ from .complexity import (
     FactorScanner,
     build_complexity_table,
     distinct_substring_profile,
+    sorted_suffixes,
 )
 from .ivp import check_ivp, predicted_coded_ds_set, predicted_parikh_set, sigma3_stream
 from .morphisms import (
@@ -65,6 +66,7 @@ __all__ = [
     "run_all",
     "run_check",
     "sigma3_stream",
+    "sorted_suffixes",
     "tau",
     "ternary_alphabet",
     "ternary_stream",

@@ -10,8 +10,12 @@ of its first done symbols, so a step appends sigma of the next symbols
 not yet substituted, at most one chunk of them, and every symbol is
 substituted once.  A prefix of n symbols therefore costs one buffer of
 about n bytes plus one chunk and its image.  A uniform image is written
-digit by digit at strided positions; non-uniform images replace marker
-bytes, so either costs time in proportion to the image.
+digit by digit at strided positions.  A non-uniform image is written the
+same way into digit planes at the stride of the widest image, padded
+with a gap byte past the end of each shorter one, and one translate then
+drops the gaps.  Those planes take widest bytes per substituted symbol,
+so images wider than _STEP_BYTES // _CUT_CHUNK = 8 letters replace
+marker bytes instead.  Every route costs time in proportion to the image.
 
 automatic_prefix never substitutes a word: every letter starts at the
 seed and walks the base-r digits of its own index, most significant
@@ -39,17 +43,23 @@ from .words import (
 
 DEFAULT_LENGTH_CAP = 1 << 30
 
-# marker byte 128 + s stands for letter s while a non-uniform image replaces
-# it; letters and images stay below MAX_LETTERS = 16
+# marker byte 128 + s stands for letter s while an image too wide for digit
+# planes replaces it; letters and images stay below MAX_LETTERS = 16
 _MARKERS = bytes((128 + s) % 256 for s in range(256))
+# the byte that pads a digit plane past the end of a shorter image
+_GAP = b"\xff"
 
 PRESET_NAMES = ("tml", "sigma3")
 
-# states one digit-path pass translates at a time, about the size of a core's cache
-_PASS_CHUNK = 1 << 20
+# bytes of scratch one stream step may take beside its image, about the
+# size of a core's cache
+_STEP_BYTES = 1 << 20
 # tail symbols one stream step substitutes at most: their int64 image ends
-# take as many bytes as one digit-path pass translates
-_CUT_CHUNK = _PASS_CHUNK // 8
+# take _STEP_BYTES, and so may their digit planes
+_CUT_CHUNK = _STEP_BYTES // 8
+# symbols one in-place table lookup of automatic_prefix covers at most: its
+# index scratch and numpy's intp copy of it stay well inside a core's cache
+_TAKE_BLOCK = 1 << 16
 
 
 class MorphismParseError(ValueError):
@@ -114,12 +124,15 @@ class FixedPointStream:
         self._images = [im.symbols for im in morphism.images]
         self._width = morphism.uniform_width
         self._widest = max(map(len, self._images))
-        if self._width is not None:
-            # tables[d] translates s to digit d of sigma(s)
+        self._tables = None
+        if self._width is not None or _CUT_CHUNK * self._widest <= _STEP_BYTES:
+            # tables[d] translates s to digit d of sigma(s), or to the gap
+            # byte past the end of a shorter image
             self._tables = [
-                bytes(im[d] for im in self._images).ljust(256, b"\0") for d in range(self._width)
+                b"".join(im[d : d + 1] or _GAP for im in self._images).ljust(256, b"\0")
+                for d in range(self._widest)
             ]
-        else:
+        if self._width is None:
             self._lengths = np.array([len(im) for im in self._images], dtype=np.int64)
         # read-only, over bytes that no later step writes to
         self._buf = np.frombuffer(self._images[seed], dtype=np.uint8)
@@ -147,17 +160,30 @@ class FixedPointStream:
 
     def _substitute(self, word: bytes, out: np.ndarray) -> int:
         """Write sigma(word) at the start of out and return its length."""
-        if self._width is None:
+        stride = self._widest
+        if self._width is not None:
+            # digit d of every image at stride position d
+            end = len(word) * stride
+            for d, table in enumerate(self._tables):
+                out[d:end:stride] = np.frombuffer(word.translate(table), dtype=np.uint8)
+            return end
+        if self._tables is None:
             image = word.translate(_MARKERS)
             for s, im in enumerate(self._images):
                 image = image.replace(_MARKERS[s : s + 1], im)
-            out[: len(image)] = np.frombuffer(image, dtype=np.uint8)
-            return len(image)
-        # digit d of every image at stride position d
-        end = len(word) * self._width
-        for d, table in enumerate(self._tables):
-            out[d : end : self._width] = np.frombuffer(word.translate(table), dtype=np.uint8)
-        return end
+        else:
+            # the same planes at the widest image's stride, where a shorter
+            # image leaves gap bytes for one translate to drop.  A bytearray,
+            # translated in place of a bytes copy: that copy, and a result
+            # shrunk by realloc on every step, fragmented the heap and
+            # raised perfbench's user-morphisms peak RSS by 2 MB on some seeds
+            gapped = bytearray(len(word) * stride)
+            planes = np.frombuffer(gapped, dtype=np.uint8)
+            for d, table in enumerate(self._tables):
+                planes[d::stride] = np.frombuffer(word.translate(table), dtype=np.uint8)
+            image = gapped.translate(None, _GAP)
+        out[: len(image)] = np.frombuffer(image, dtype=np.uint8)
+        return len(image)
 
     def ensure(self, n: int) -> None:
         """Materialize at least the first n symbols.
@@ -200,11 +226,6 @@ class FixedPointStream:
         return Word.from_checked(self.alphabet, bytes(self.array(n)))
 
 
-def _translate(view: np.ndarray, table: bytes) -> None:
-    """Map a uint8 view in place through a 256-byte translation table."""
-    view[...] = np.frombuffer(view.tobytes().translate(table), dtype=np.uint8).reshape(view.shape)
-
-
 def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
     """First n letters via vectorized digit-path evaluation.
 
@@ -214,8 +235,9 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
     r**c digit, through R tables built by walking every c-digit string
     through sigma's digit table from every letter.  Digit p of i in
     base R is constant on runs of R**p indices that cycle every
-    R**(p+1), so each pass translates, digit by digit, the runs that
-    share it and writes them back in place.
+    R**(p+1).  The top pass starts every letter at the seed, so it
+    fills each run with one letter; every later pass looks each letter
+    up in place in one flat table, at letter + 16 * digit.
     """
     r = m.uniform_width
     if r is None or r < 2:
@@ -227,7 +249,7 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
     if n > DEFAULT_LENGTH_CAP:
         raise ResourceLimitError(f"prefix request {n} exceeds cap {DEFAULT_LENGTH_CAP}")
     # base R = r**c, the largest power of r up to 256 (r itself for wider
-    # images), keeps the tables and the translate calls per pass at most 256
+    # images), keeps the lookup table at most 256 rows of 16 letters
     base = r
     while base * r <= 256:
         base *= r
@@ -237,24 +259,42 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
     walk = np.arange(m.alphabet.size, dtype=np.uint8)[None, :]
     while len(walk) < base:
         walk = step[:, walk].transpose(1, 0, 2).reshape(-1, m.alphabet.size)
-    tables = [row.tobytes().ljust(256, b"\0") for row in walk]
+    # flat[16 * q + s] = walk[q][s]; letters stay below MAX_LETTERS = 16
+    flat = np.zeros((base, 16), dtype=np.uint8)
+    flat[:, : m.alphabet.size] = walk
+    flat = flat.reshape(-1)
     passes = 1
     while base**passes < n:
         passes += 1
-    states = np.full(n, seed, dtype=np.uint8)
-    for p in range(passes - 1, -1, -1):
+    run = base ** (passes - 1)
+    states = np.empty(n, dtype=np.uint8)
+    for d in range(-(-n // run)):
+        states[d * run : (d + 1) * run] = walk[d, seed]
+    # table indices of one block of whole runs, at most _TAKE_BLOCK symbols;
+    # uint16 unless an image is wider than 4096 letters
+    index_type = np.min_scalar_type(16 * base - 1)
+    scratch = np.empty(min(n, _TAKE_BLOCK), dtype=index_type)
+    for p in range(passes - 2, -1, -1):
         run = base**p
-        span = run * base
-        whole = n // span * span
-        # whole blocks a chunk at a time, so that the strided runs of each
-        # digit are read from cache; by_digit[d] holds the runs whose digit p is d
-        chunk = max(1, _PASS_CHUNK // span) * span
-        for start in range(0, whole, chunk):
-            by_digit = states[start : min(start + chunk, whole)].reshape(-1, base, run).transpose(1, 0, 2)
-            for d, table in enumerate(tables):
-                _translate(by_digit[d], table)
-        for d, table in enumerate(tables):
-            _translate(states[whole + d * run : whole + (d + 1) * run], table)
+        runs = 0
+        if run < _TAKE_BLOCK:
+            runs = n // run
+            per = _TAKE_BLOCK // run
+            # offsets[j % base:][:per] = 16 * the digits of runs j, j + 1, ...
+            offsets = np.tile(np.arange(0, 16 * base, 16, dtype=index_type), per // base + 2)[:, None]
+            for j in range(0, runs, per):
+                block = states[j * run : min(j + per, runs) * run].reshape(-1, run)
+                index = scratch[: block.size].reshape(block.shape)
+                np.add(block, offsets[j % base : j % base + len(block)], out=index)
+                np.take(flat, index, out=block, mode="clip")
+        # runs too long for one block, and the ragged last run, look up
+        # their digit's row directly, a block at a time
+        start = runs * run
+        while start < n:
+            d = start // run % base
+            block = states[start : min(start + _TAKE_BLOCK, n, (start // run + 1) * run)]
+            np.take(flat[16 * d : 16 * d + 16], block, out=block, mode="clip")
+            start += len(block)
     return states
 
 

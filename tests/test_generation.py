@@ -1,6 +1,7 @@
 """Both generation routes against the byte-level substitution oracle."""
 
 import math
+import time
 import tracemalloc
 from unittest import mock
 
@@ -74,6 +75,16 @@ def test_uniform_routes_match_substitution(case):
     assert FixedPointStream(m, 0).array(n).tobytes() == expected
 
 
+@settings(deadline=None, max_examples=60)
+@given(uniform_cases(), st.integers(1, 40))
+def test_small_lookup_blocks_match_substitution(case, block):
+    # blocks of a few symbols make runs of every length past one block,
+    # and blocks of runs whose digits start anywhere in the cycle
+    images, n = case
+    with mock.patch.object(morphisms, "_TAKE_BLOCK", block):
+        assert automatic_prefix(morphism_of(images), 0, n).tobytes() == oracle_prefix(images, n)
+
+
 def test_wide_morphism_below_one_image():
     # n < r: the digit walk has a single pass, and all of it is the ragged tail
     rng = np.random.default_rng(300)
@@ -136,7 +147,8 @@ def peak_bytes_per_symbol(make, n: int) -> float:
 def test_automatic_prefix_peak_memory():
     m, seed = preset("tml")
     n = 1 << 22
-    assert peak_bytes_per_symbol(lambda: automatic_prefix(m, seed, n), n) < 8
+    # the states, one block's index scratch and numpy's intp copy of it
+    assert peak_bytes_per_symbol(lambda: automatic_prefix(m, seed, n), n) < 1.25
 
 
 @pytest.mark.parametrize(
@@ -151,10 +163,24 @@ def test_automatic_prefix_peak_memory():
     ids=["abbc-c-ab", "ab-c-ca"],
 )
 def test_non_uniform_stream_peak_memory(text, n):
-    # the buffer, plus one chunk's int64 image ends and its marker images
+    # the buffer, plus one chunk's int64 image ends, its digit planes and its image
     spec = parse_morphism_spec(text)
     stream = FixedPointStream(spec.morphism, spec.seed)
     assert peak_bytes_per_symbol(lambda: stream.array(n), n) < 1 + 3 * 2**20 / n
+    images = tuple(im.symbols for im in spec.morphism.images)
+    assert stream.array(n).tobytes() == oracle_prefix(images, n)
+
+
+def test_wide_image_stream_replaces_markers():
+    # digit planes for a 1000-letter image would take 1000 translate calls
+    # and 1000 bytes per substituted symbol; images this wide replace
+    # marker bytes instead, in the buffer's memory and well under a second
+    spec = parse_morphism_spec("a -> ab" + "c" * 998 + "\nb -> ba\nc -> c\n")
+    stream = FixedPointStream(spec.morphism, spec.seed)
+    n = 1 << 22
+    t0 = time.perf_counter()
+    assert peak_bytes_per_symbol(lambda: stream.array(n), n) < 1 + 3 * 2**20 / n
+    assert time.perf_counter() - t0 < 1.0
     images = tuple(im.symbols for im in spec.morphism.images)
     assert stream.array(n).tobytes() == oracle_prefix(images, n)
 
