@@ -172,10 +172,10 @@ class FixedPointStream:
             for s, im in enumerate(self._images):
                 image = image.replace(_MARKERS[s : s + 1], im)
         else:
-            # the same planes at the widest image's stride, where a shorter
-            # image leaves gap bytes for one translate to drop.  A bytearray,
-            # translated in place of a bytes copy: that copy, and a result
-            # shrunk by realloc on every step, fragmented the heap and
+            # the same planes at the widest image's stride; a shorter image
+            # leaves gap bytes there for one translate to drop.  The planes
+            # are a bytearray: translating a bytes copy of them, whose result
+            # is shrunk by realloc on every step, fragmented the heap and
             # raised perfbench's user-morphisms peak RSS by 2 MB on some seeds
             gapped = bytearray(len(word) * stride)
             planes = np.frombuffer(gapped, dtype=np.uint8)
