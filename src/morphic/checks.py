@@ -75,10 +75,11 @@ def verify_witnesses(n_max: int) -> VerifyReport:
     """Closed-form extremal factors: length, both digit sums, occurrence.
 
     For each n the assembled length-n word must have digit sum n + k + 1
-    (k = floor(log2 n)), letter imbalance k + 1, and occur in its
-    closed-form context; its swap-1-and-reverse image must be a factor
-    with digit sum n - k - 1, pinning the attainable range from both
-    ends.
+    (k = floor(log2 n)), letter imbalance k + 1, pass the membership
+    test ``is_factor``, which desubstitutes it, and occur in its
+    closed-form context; its swap-1-and-reverse image must pass the same
+    test and have digit sum n - k - 1, pinning the attainable range from
+    both ends.
     """
     if n_max > WITNESS_CAP:
         raise ResourceLimitError(f"witnesses beyond {WITNESS_CAP} symbols; lower n_max")
@@ -94,7 +95,7 @@ def verify_witnesses(n_max: int) -> VerifyReport:
             if pv[2] - pv[0] != w.k + 1:
                 record_failure(report, f"n={n}: letter imbalance {pv[2] - pv[0]}, expected {w.k + 1}")
             if not is_factor(whole):
-                record_failure(report, f"n={n}: witness rejected by the pair-context membership test")
+                record_failure(report, f"n={n}: witness rejected by the membership test")
             low = tau(1, whole).mirror()
             if low.digit_sum() != n - w.k - 1:
                 record_failure(
@@ -358,13 +359,14 @@ def _sweep_shift_gains(report: VerifyReport, expansions: np.ndarray) -> None:
 def verify_shift_gain_exhaustive(scanner: FactorScanner) -> VerifyReport:
     """Exhaustive anchored-shift sweep over all expanded length-3 factors.
 
-    Each scanned length-3 factor must pass the pair-context membership
-    test, which ties it to the fixed point.  Expand each through six
-    substitution steps (192 letters).  For every pair of expansions,
-    every middle-third position i with letter 0 in the first and j with
-    letter 2 in the second, some forward shift within the window or
-    backward shift within the anchors must change the running sum to
-    exactly 1.
+    Each scanned length-3 factor must pass the membership test
+    ``is_factor``, at this length a lookup in the pair context
+    sigma^6(0011220210), which ties it to the fixed point.  Expand each
+    through six substitution steps (192 letters).  For every pair of
+    expansions, every middle-third position i with letter 0 in the first
+    and j with letter 2 in the second, some forward shift within the
+    window or backward shift within the anchors must change the running
+    sum to exactly 1.
     """
     report = VerifyReport("tech-lemma", "|u|=|v|=3, 64<=i,j<128", 0)
     with timed(report):

@@ -27,13 +27,12 @@ gives the factor index: a length-n factor is a run of neighbours that
 share n symbols, and its first occurrence is the least start in the
 run.  A scanner keeps one such sort, only as deep as asked, and reads
 shorter lengths of its window from it (``FactorScanner._sorted``).
-``suffix_order`` gives the sorted suffixes that the membership test in
-``witnesses`` searches.  The attained digit sums of each length are
-kept (``digit_sum_set`` gives their three routes), so checks that share
-a scanner scan each length once.  No window may exceed ``WINDOW_CAP``
-symbols, nor may the factors a walk keeps: a larger one raises
-ResourceLimitError instead of exhausting memory, and so does a sort
-of a window of more than ``PROFILE_CAP``.
+The attained digit sums of each length are kept (``digit_sum_set``
+gives their three routes), so checks that share a scanner scan each
+length once.  No window may exceed ``WINDOW_CAP`` symbols, nor may the
+factors a walk keeps: a larger one raises ResourceLimitError instead
+of exhausting memory, and so does a sort of a window of more than
+``PROFILE_CAP``.
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ def prefix_doubling(data: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
     symbols, a suffix that ends sooner ranking below its extensions;
     level j + 1 ranks the pairs of level-j ranks at i and i + 2**j.
     Level 0 is ``data`` itself.  Yields levels 0, 1, ... and stops after
-    the first level with 2**j >= n_max or every rank distinct; a caller
-    that keeps only the last level holds one level at a time.
+    the first level with 2**j >= n_max or every rank distinct.
     """
     N = len(data)
     rank = data
@@ -91,17 +89,6 @@ def prefix_doubling(data: np.ndarray, n_max: int) -> Iterator[np.ndarray]:
         rank[order] = dense
         h *= 2
         yield rank
-
-
-def suffix_order(data: np.ndarray) -> np.ndarray:
-    """Every start of ``data`` as int32, sorted by the suffix there.
-
-    Doubles until every rank is distinct, so the order is the suffix
-    array; only the last level is alive at the end.
-    """
-    for rank in prefix_doubling(data, len(data)):
-        pass
-    return np.argsort(rank).astype(np.int32)
 
 
 def sorted_suffixes(data: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:

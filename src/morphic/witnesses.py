@@ -16,27 +16,15 @@ between them is evidence, not circularity.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .complexity import suffix_order
 from .morphisms import FixedPointStream, preset
 from .words import ResourceLimitError, Word, WordDomainError, ternary_alphabet
 
 # Longest witness built.  `morphic witness --format json` peaks at about
 # 21 bytes per symbol (tracemalloc) and reads about 230 MB max RSS here.
 WITNESS_CAP = 1 << 23
-# Haystacks searched through their suffix order: over INDEX_MIN, where a
-# scan is slower (3.3 against 7.1 us a search at 5120 symbols, 4.3 against
-# 0.9 at 1024), and at most INDEX_CAP: the order keeps 4 bytes per symbol
-# and peaks near 40 (tracemalloc) while it is built.  Longer haystacks, met
-# only by words of more than 16385 symbols, are scanned linearly, which
-# takes no memory.
-INDEX_MIN = 1 << 12
-INDEX_CAP = 1 << 18
 
 _TERN = ternary_alphabet()
 
@@ -158,46 +146,45 @@ def factor_haystack(K: int) -> bytes:
     return b"".join(sigma_power_bytes(x, K) for x in _ALL_PAIRS)
 
 
-@lru_cache(maxsize=2)
-def _suffix_order(hay: bytes) -> memoryview:
-    """The int32 suffix array of a haystack; two are kept, no rank levels.
+@lru_cache(maxsize=1)
+def _cuts() -> dict[bytes, int]:
+    """Where each length-5 factor cuts into images: 0 or 1, a parity.
 
-    A memoryview, whose items are Python ints, slices ``hay`` faster
-    than numpy scalars do.
+    sigma^3(0011220210) is a run of images sigma(x) from even starts,
+    and its length-5 windows are exactly the length-5 factors, so the
+    parity of a window's start is its cut.
     """
-    return memoryview(suffix_order(np.frombuffer(hay, dtype=np.uint8)))
+    hay = factor_haystack(3)
+    return {hay[i : i + 5]: i & 1 for i in range(len(hay) - 4)}
 
 
 def is_factor(u: Word) -> bool:
     """Exact membership test for factors of the doubling fixed point.
 
-    The fixed point u equals sigma^K(u), a concatenation of blocks
-    sigma^K(x) of length 2^K, so a factor of length at most 2^K + 1
-    lies inside sigma^K(xy) for some letter pair xy.  All nine pairs
-    are factors and all occur in 0011220210, so the factors of length
-    at most 2^K + 1 are exactly the windows of sigma^K(0011220210).
-    One binary search over that haystack's suffixes, cut to the word's
-    length, decides membership; a haystack outside (INDEX_MIN,
-    INDEX_CAP] is scanned linearly instead.
+    The fixed point u equals sigma(u), and sigma is recognizable (Mossé,
+    TCS 99, 1992): each length-5 factor cuts into the images 01, 12, 20
+    at starts of one parity p only (``_cuts``).  So a longer word w is a
+    factor iff every letter w[p+1::2] is the successor of the letter
+    before it, mod 3, and the preimage w[p::2], after the predecessor of
+    w[0] if p = 1, is a factor.  Preimages halve the length down to at
+    most 2^6 + 1 = 65 symbols.  Such a factor lies inside sigma^6(xy)
+    for a letter pair xy; all nine pairs are factors and occur in
+    0011220210, so the factors of that length are exactly the words of
+    that length in sigma^6(0011220210) (``factor_haystack``).
     """
     if not u.alphabet.is_ternary:
         raise WordDomainError("membership test requires the alphabet {0,1,2}")
-    data = u.symbols
-    if not data:
-        return True
-    # the least K with len(data) <= 2^K + 1
-    K = max(len(data) - 2, 0).bit_length()
-    hay = factor_haystack(K)
-    if not INDEX_MIN < len(hay) <= INDEX_CAP:
-        return data in hay
-    order = _suffix_order(hay)
-    m = len(data)
-
-    def cut(i):
-        return hay[i : i + m]
-
-    i = bisect_left(order, data, key=cut)
-    return i < len(order) and cut(order[i]) == data
+    w = u.symbols
+    cuts = _cuts()
+    while len(w) > 65:
+        p = cuts.get(w[:5])
+        if p is None:
+            return False
+        first = w[p::2]
+        if not first.translate(_SECOND).startswith(w[p + 1 :: 2]):
+            return False
+        w = bytes(((w[0] + 2) % 3,)) + first if p else first
+    return w in factor_haystack(6)
 
 
 @lru_cache(maxsize=32)

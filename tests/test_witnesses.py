@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphic import cli, witnesses
+from morphic import cli, complexity, witnesses
 from morphic.witnesses import (
-    INDEX_CAP,
-    INDEX_MIN,
     balanced_letter,
     decomposition_haystack,
     factor_haystack,
@@ -21,7 +19,7 @@ from morphic.witnesses import (
     witness,
     witness_occurrence,
 )
-from morphic.words import Alphabet, Word, WordDomainError, ternary_alphabet
+from morphic.words import Alphabet, Word, WordDomainError, tau, ternary_alphabet
 
 TERN = ternary_alphabet()
 
@@ -198,9 +196,7 @@ class TestMembership:
 
     @pytest.mark.parametrize("K", range(12))
     def test_agrees_with_linear_search(self, K):
-        # haystacks up to K = 8 (2560 symbols) are at most INDEX_MIN and
-        # scanned; from K = 9 on they are binary-searched
-        assert (len(factor_haystack(K)) <= INDEX_MIN) == (K <= 8)
+        # words of more than 65 symbols (from K = 6) are desubstituted first
         rng = random.Random(K)
         outcomes = set()
         for n in ((1 << K) + 1, (1 << K) + 2):
@@ -218,13 +214,36 @@ class TestMembership:
                 assert is_factor(Word(TERN, w)) == (w in hay)
         assert outcomes == {True, False}
 
-    def test_long_words_past_the_index_cap(self, tml):
-        # 20000 symbols need K = 15, a haystack over INDEX_CAP
-        assert len(factor_haystack(15)) > INDEX_CAP
+    def test_long_words_agree_with_linear_search(self, tml):
+        # 20000 symbols are desubstituted nine times, down to about 40
         data = bytearray(tml.array(1 << 16)[1000:21000].tobytes())
         assert is_factor(Word(TERN, bytes(data)))
         data[5000] = (data[5000] + 1) % 3
         assert is_factor(Word(TERN, bytes(data))) == (bytes(data) in factor_haystack(15))
+
+    def test_one_cut_per_length_5_factor(self):
+        # every occurrence of a length-5 factor starts at one parity, the
+        # cut that membership reads from its table
+        data = ternary_stream().array(1 << 16).tobytes()
+        parities = {}
+        for i in range(len(data) - 4):
+            parities.setdefault(data[i : i + 5], set()).add(i & 1)
+        assert all(len(p) == 1 for p in parities.values())
+        cuts = {f: p.pop() for f, p in parities.items()}
+        assert len(cuts) == 30
+        assert witnesses._cuts() == cuts
+
+    def test_long_word_memory_per_symbol(self):
+        n = 1 << 20
+        u = Word(TERN, ternary_stream().array(3 * n)[n + 12345 : 2 * n + 12345].tobytes())
+        factor_haystack.cache_clear()
+        tracemalloc.start()
+        try:
+            assert is_factor(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n
 
     def test_occurrence_is_the_least_start(self):
         def first_start(hay, pattern):
@@ -239,13 +258,14 @@ class TestMembership:
             hay = sigma_power_bytes(0, 3) if n == 1 else decomposition_haystack(w.k)
             assert witness_occurrence(w) == first_start(hay, w.whole.symbols), n
 
-    def test_occurrence_builds_no_suffix_order(self, monkeypatch, capsys):
-        def refuse(data):
-            raise AssertionError("suffix order built for a witness occurrence")
+    def test_membership_and_occurrence_sort_nothing(self, monkeypatch, capsys):
+        def refuse(data, n_max):
+            raise AssertionError("suffixes sorted for a witness check")
 
-        monkeypatch.setattr(witnesses, "suffix_order", refuse)
-        witnesses._suffix_order.cache_clear()
+        monkeypatch.setattr(complexity, "prefix_doubling", refuse)
         for n in range(1, 4097):
-            assert witness_occurrence(witness(n)) >= 0
+            w = witness(n)
+            assert is_factor(w.whole) and is_factor(tau(1, w.whole).mirror()), n
+            assert witness_occurrence(w) >= 0
         assert cli.main(["witness", "--length", "32768", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 32768
