@@ -19,10 +19,13 @@ marker bytes instead.  Every route costs time in proportion to the image.
 
 automatic_prefix never substitutes a word: every letter starts at the
 seed and walks the base-r digits of its own index, most significant
-first.  A fixed point of an r-uniform morphism is also r**c-automatic,
-so the walk reads c digits at a time through tables built from sigma's
-digit table alone.  That walk over the whole index range, not a reuse
-of earlier prefixes, is what keeps it independent of the stream.
+first.  A fixed point u of an r-uniform morphism is also B-automatic for
+B = r**c, u[b * B + i] = sigma**c(u[b])[i], so the walk reads c digits
+at a time through one table row per letter, built from sigma's digit
+table alone.  Each letter's high digits walk through the shorter prefix
+one level up, itself walked the same way, and its low c digits through
+one row; nothing calls FixedPointStream or Morphism.apply, which keeps
+the route independent of the stream.
 """
 
 from __future__ import annotations
@@ -57,9 +60,10 @@ _STEP_BYTES = 1 << 20
 # tail symbols one stream step substitutes at most: their int64 image ends
 # take _STEP_BYTES, and so may their digit planes
 _CUT_CHUNK = _STEP_BYTES // 8
-# symbols one in-place table lookup of automatic_prefix covers at most: its
-# index scratch and numpy's intp copy of it stay well inside a core's cache
-_TAKE_BLOCK = 1 << 16
+# automatic_prefix's table rows hold the largest power of the image width up
+# to this many letters, or the width itself when wider: the rows of 16
+# letters then take 64 kB, inside a core's cache
+_ROW_LETTERS = 1 << 12
 
 
 class MorphismParseError(ValueError):
@@ -231,13 +235,13 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
 
     Independent of the substitution route: letter i walks the base-r
     digits of i (most significant first) from the seed, with no word
-    ever substituted.  The walk reads c digits per pass, one base R =
-    r**c digit, through R tables built by walking every c-digit string
-    through sigma's digit table from every letter.  Digit p of i in
-    base R is constant on runs of R**p indices that cycle every
-    R**(p+1).  The top pass starts every letter at the seed, so it
-    fills each run with one letter; every later pass looks each letter
-    up in place in one flat table, at letter + 16 * digit.
+    ever substituted.  B = r**c is the largest power of r up to
+    _ROW_LETTERS, or r itself for wider images, and rows[s] =
+    sigma**c(s) holds the B letters reached from s along every c-digit
+    string.  Letter b * B + i is then rows[u[b]][i]: its high digits
+    walk to u[b], one level up, and its low c digits through one row.
+    The top level is one row of the seed, and each level below it one
+    row lookup per letter of the level above.
     """
     r = m.uniform_width
     if r is None or r < 2:
@@ -248,53 +252,26 @@ def automatic_prefix(m: Morphism, seed: int, n: int) -> np.ndarray:
         raise WordDomainError(f"prefix length {n} is negative")
     if n > DEFAULT_LENGTH_CAP:
         raise ResourceLimitError(f"prefix request {n} exceeds cap {DEFAULT_LENGTH_CAP}")
-    # base R = r**c, the largest power of r up to 256 (r itself for wider
-    # images), keeps the lookup table at most 256 rows of 16 letters
     base = r
-    while base * r <= 256:
+    while base * r <= _ROW_LETTERS:
         base *= r
-    # step[d][s] = digit d of sigma(s)
-    step = np.array([[im.symbols[d] for im in m.images] for d in range(r)], dtype=np.uint8)
-    # walk[q][s] = the letter reached from s along the c base-r digits of q
-    walk = np.arange(m.alphabet.size, dtype=np.uint8)[None, :]
-    while len(walk) < base:
-        walk = step[:, walk].transpose(1, 0, 2).reshape(-1, m.alphabet.size)
-    # flat[16 * q + s] = walk[q][s]; letters stay below MAX_LETTERS = 16
-    flat = np.zeros((base, 16), dtype=np.uint8)
-    flat[:, : m.alphabet.size] = walk
-    flat = flat.reshape(-1)
-    passes = 1
-    while base**passes < n:
-        passes += 1
-    run = base ** (passes - 1)
-    states = np.empty(n, dtype=np.uint8)
-    for d in range(-(-n // run)):
-        states[d * run : (d + 1) * run] = walk[d, seed]
-    # table indices of one block of whole runs, at most _TAKE_BLOCK symbols;
-    # uint16 unless an image is wider than 4096 letters
-    index_type = np.min_scalar_type(16 * base - 1)
-    scratch = np.empty(min(n, _TAKE_BLOCK), dtype=index_type)
-    for p in range(passes - 2, -1, -1):
-        run = base**p
-        runs = 0
-        if run < _TAKE_BLOCK:
-            runs = n // run
-            per = _TAKE_BLOCK // run
-            # offsets[j % base:][:per] = 16 * the digits of runs j, j + 1, ...
-            offsets = np.tile(np.arange(0, 16 * base, 16, dtype=index_type), per // base + 2)[:, None]
-            for j in range(0, runs, per):
-                block = states[j * run : min(j + per, runs) * run].reshape(-1, run)
-                index = scratch[: block.size].reshape(block.shape)
-                np.add(block, offsets[j % base : j % base + len(block)], out=index)
-                np.take(flat, index, out=block, mode="clip")
-        # runs too long for one block, and the ragged last run, look up
-        # their digit's row directly, a block at a time
-        start = runs * run
-        while start < n:
-            d = start // run % base
-            block = states[start : min(start + _TAKE_BLOCK, n, (start // run + 1) * run)]
-            np.take(flat[16 * d : 16 * d + 16], block, out=block, mode="clip")
-            start += len(block)
+    # digits[s][d] = digit d of sigma(s); rows[s] = sigma**j(s) after j steps
+    k = m.alphabet.size
+    digits = np.frombuffer(b"".join(im.symbols for im in m.images), dtype=np.uint8).reshape(k, r)
+    rows = np.arange(k, dtype=np.uint8)[:, None]
+    while rows.shape[1] < base:
+        rows = digits[rows].reshape(k, -1)
+    # lengths[j + 1] letters one level up determine the lengths[j] below
+    lengths = [n]
+    while lengths[-1] > base:
+        lengths.append(-(-lengths[-1] // base))
+    states = rows[seed, : lengths.pop()].copy()
+    for length in reversed(lengths):
+        high, states = states, np.empty(length, dtype=np.uint8)
+        full = length // base
+        # letters never need clipping; "clip" lets numpy write out in place
+        np.take(rows, high[:full], axis=0, out=states[: full * base].reshape(full, base), mode="clip")
+        states[full * base :] = rows[high[-1], : length - full * base]
     return states
 
 

@@ -1,6 +1,5 @@
 """Both generation routes against the byte-level substitution oracle."""
 
-import math
 import time
 import tracemalloc
 from unittest import mock
@@ -39,18 +38,21 @@ def images_of(draw, k: int, widths) -> tuple[bytes, ...]:
 
 @st.composite
 def uniform_cases(draw):
-    """A uniform morphism over 2-8 letters of width 2-17, prolongable on 0,
-    with a length anywhere up to N_MAX or next to a power of R = r**c, where
-    c >= 1 is the most digits with r**c <= 256 (one digit-path pass per
-    base-R digit), so that c = 1, 2 and 3 or more all occur."""
+    """A uniform morphism over 2-8 letters of width 2-17 or 65-72, prolongable
+    on 0, with a length anywhere up to N_MAX or next to B or B**2, where B is
+    the largest power of r up to _ROW_LETTERS (r itself past it): B letters
+    fill one table row of the digit-path walk, B + 1 take a second level and
+    B**2 + 1 a third.  B**2 is drawn only up to 2**17 letters, for r = 17
+    (B = 289) and the wide images (B = r), so that the substitution oracle
+    stays quick."""
     k = draw(st.integers(2, 8))
-    r = draw(st.integers(2, 17))
+    r = draw(st.integers(2, 17) | st.integers(65, 72))
     images = images_of(draw, k, [r] * k)
     base = r
-    while base * r <= 256:
+    while base * r <= morphisms._ROW_LETTERS:
         base *= r
-    p = draw(st.integers(0, max(2, int(math.log(N_MAX, base)))))
-    n = draw(st.sampled_from([0, 1, base**p - 1, base**p, base**p + 1]) | st.integers(0, N_MAX))
+    power = draw(st.sampled_from([p for p in (1, base, base**2) if p <= 1 << 17]))
+    n = draw(st.sampled_from([0, power - 1, power, power + 1]) | st.integers(0, N_MAX))
     return images, n
 
 
@@ -77,11 +79,11 @@ def test_uniform_routes_match_substitution(case):
 
 @settings(deadline=None, max_examples=60)
 @given(uniform_cases(), st.integers(1, 40))
-def test_small_lookup_blocks_match_substitution(case, block):
-    # blocks of a few symbols make runs of every length past one block,
-    # and blocks of runs whose digits start anywhere in the cycle
+def test_small_lookup_blocks_match_substitution(case, row_letters):
+    # rows of a few letters make many levels, each with a ragged last row
+    # of any length, and rows of r letters when r > row_letters
     images, n = case
-    with mock.patch.object(morphisms, "_TAKE_BLOCK", block):
+    with mock.patch.object(morphisms, "_ROW_LETTERS", row_letters):
         assert automatic_prefix(morphism_of(images), 0, n).tobytes() == oracle_prefix(images, n)
 
 
@@ -147,8 +149,8 @@ def peak_bytes_per_symbol(make, n: int) -> float:
 def test_automatic_prefix_peak_memory():
     m, seed = preset("tml")
     n = 1 << 22
-    # the states, one block's index scratch and numpy's intp copy of it
-    assert peak_bytes_per_symbol(lambda: automatic_prefix(m, seed, n), n) < 1.25
+    # the letters; the table rows and the levels above take 22 kB
+    assert peak_bytes_per_symbol(lambda: automatic_prefix(m, seed, n), n) < 1.05
 
 
 @pytest.mark.parametrize(
